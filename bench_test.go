@@ -297,38 +297,6 @@ func BenchmarkContentionSolveReused(b *testing.B) {
 	}
 }
 
-// BenchmarkContentionSolveQuantized is the reused solve with miss curves
-// quantized onto the profiler's own 16-point grid — same numbers (see
-// TestSolveQuantizedBitIdenticalOnProfilerGrid), O(1) curve lookups.
-func BenchmarkContentionSolveQuantized(b *testing.B) {
-	src := profiler.NewSource(60_000)
-	d, err := config.DesignByName("4B", true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	progs := make([]string, 24)
-	names := workload.Names()
-	for i := range progs {
-		progs[i] = names[i%len(names)]
-	}
-	placement, err := sched.Place(d, workload.Mix{ID: "bench", Programs: progs}, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := contention.DefaultModel()
-	m.QuantizeCurves = 16
-	s := contention.NewSolver()
-	if _, err := s.SolveModel(placement, m); err != nil { // build tables + warm
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SolveModel(placement, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSchedulerPlace measures offline schedule construction.
 func BenchmarkSchedulerPlace(b *testing.B) {
 	src := profiler.NewSource(60_000)

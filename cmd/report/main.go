@@ -5,11 +5,13 @@
 // Usage:
 //
 //	report -uops 200000 > EXPERIMENTS-generated.md
-//	report -figures -checkpoint run.ckpt > EXPERIMENTS-generated.md
+//	report -figures -checkpoint run/ > EXPERIMENTS-generated.md
 //
-// With -checkpoint, the measured profile cache and every completed figure
-// table are persisted crash-safely; re-running after a crash resumes the
-// campaign, skipping finished work and reproducing byte-identical tables.
+// With -checkpoint DIR, the figures run on a journal in DIR (see
+// core.Simulator.Resume): every completed figure table and the measured
+// profile cache are recorded crash-safely as each figure finishes.
+// Re-running after a crash skips finished figures, reuses measured
+// profiles and reproduces byte-identical tables.
 package main
 
 import (
@@ -23,7 +25,6 @@ import (
 	"time"
 
 	"smtflex/internal/buildinfo"
-	"smtflex/internal/checkpoint"
 	"smtflex/internal/core"
 	"smtflex/internal/machstats"
 	"smtflex/internal/obs"
@@ -34,7 +35,7 @@ func main() {
 	uops := flag.Uint64("uops", 200_000, "cycle-engine µops per profiling run")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers for the experiment engine (1 = serial)")
 	figures := flag.Bool("figures", false, "append every figure table to the report")
-	ckptPath := flag.String("checkpoint", "", "persist completed figures to this file and resume from it on restart")
+	ckptDir := flag.String("checkpoint", "", "journal completed figures and measured profiles in this directory and resume from it on restart")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) of the campaign here and print a time-stack report to stderr")
 	machPath := flag.String("machstats", "", "arm the machine-counter registry and write its snapshot to <path>.json, <path>.stacks.csv and <path>.counters.csv after the campaign")
 	perfsnapDir := flag.String("perfsnap", "", "arm tracing, machine counters and engine histograms, and write a perf snapshot (for perfdiff) into this directory after the campaign")
@@ -72,20 +73,10 @@ func main() {
 		perfArm = perfdiff.ArmCLI("report", sim.Study(), col)
 	}
 
-	var ckpt *checkpoint.Manager
-	if *ckptPath != "" {
-		var err error
-		ckpt, _, err = checkpoint.Open(*ckptPath, checkpoint.Fingerprint{UopCount: *uops, Mixes: 12})
-		if err != nil {
+	if *ckptDir != "" {
+		if _, err := sim.Resume(*ckptDir); err != nil {
 			fmt.Fprintf(os.Stderr, "report: %v\n", err)
 			os.Exit(1)
-		}
-		profPath := checkpoint.ProfilesPath(*ckptPath)
-		if _, statErr := os.Stat(profPath); statErr == nil {
-			if _, err := sim.Source().LoadJSONFile(profPath); err != nil {
-				fmt.Fprintf(os.Stderr, "report: %v\n", err)
-				os.Exit(1)
-			}
 		}
 	}
 	start := time.Now()
@@ -96,14 +87,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "report: %v\n", err)
 		os.Exit(1)
-	}
-	if ckpt != nil {
-		// The findings campaign has measured every profile it needs; persist
-		// them so a later crash in the figures loop resumes cheaply.
-		if err := sim.Source().SaveJSONFile(checkpoint.ProfilesPath(*ckptPath)); err != nil {
-			fmt.Fprintf(os.Stderr, "report: %v\n", err)
-			os.Exit(1)
-		}
 	}
 
 	fmt.Println("# Findings report")
@@ -127,28 +110,12 @@ func main() {
 	if *figures {
 		fmt.Println()
 		for _, id := range core.FigureIDs() {
-			if ckpt != nil {
-				if tab, ok := ckpt.Table(id); ok {
-					fmt.Printf("## %s\n\n```\n%s```\n\n", id, tab)
-					continue
-				}
-			}
 			tctx, root := obs.StartTrace(context.Background(), col, id)
 			tab, err := sim.Figure(tctx, id)
 			root.End()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "report: %s: %v\n", id, err)
 				os.Exit(1)
-			}
-			if ckpt != nil {
-				if err := ckpt.Put(id, tab); err != nil {
-					fmt.Fprintf(os.Stderr, "report: %v\n", err)
-					os.Exit(1)
-				}
-				if err := sim.Source().SaveJSONFile(checkpoint.ProfilesPath(*ckptPath)); err != nil {
-					fmt.Fprintf(os.Stderr, "report: %v\n", err)
-					os.Exit(1)
-				}
 			}
 			fmt.Printf("## %s\n\n```\n%s```\n\n", id, tab)
 		}

@@ -3,11 +3,14 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"smtflex/internal/atomicfile"
 )
 
 // The sweep flight recorder: a bounded, per-sweep log of every cell's
@@ -389,7 +392,7 @@ func (f *flightRecorder) get(sweep string) (*FlightRecord, bool) {
 }
 
 // dumpFlight writes one flight record as flight-<sweep-prefix>.json in dir,
-// atomically (temp file + rename) so a crash mid-dump never leaves a torn
+// crash-safely (see atomicfile) so a crash mid-dump never leaves a torn
 // record next to the journal.
 func dumpFlight(dir string, rec *FlightRecord) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -403,23 +406,12 @@ func dumpFlight(dir string, rec *FlightRecord) error {
 	if len(name) > 16 {
 		name = name[:16]
 	}
-	path := filepath.Join(dir, "flight-"+name+".json")
-	tmp, err := os.CreateTemp(dir, ".flight-*")
+	err = atomicfile.WriteFile(filepath.Join(dir, "flight-"+name+".json"), func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rename flight record: %w", err)
+		return fmt.Errorf("write flight record: %w", err)
 	}
 	return nil
 }

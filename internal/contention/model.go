@@ -31,14 +31,6 @@ type Model struct {
 	// Damping overrides the fixed-point blend factor in (0,1); zero selects
 	// the calibrated default (0.5).
 	Damping float64
-	// QuantizeCurves, when positive, replaces each profile's exact
-	// piecewise-linear miss curves with n-point quantized lookup tables
-	// (cache.MissTable) for the solver's inner loop: every curve probe
-	// becomes O(1) arithmetic instead of a binary search. With n at least
-	// the profiler's breakpoint count (16), the log-uniform curves quantize
-	// losslessly and results stay bit-identical to the exact solver; smaller
-	// n trades accuracy for speed. Zero keeps the exact curves.
-	QuantizeCurves int
 }
 
 // DefaultModel returns the calibrated configuration used by Solve.

@@ -40,12 +40,6 @@ type Solver struct {
 	coreUtil []float64
 	// distinct is shareCaches' benchmark-dedup set, cleared per use.
 	distinct map[string]bool
-	// quant caches quantized profile copies keyed by source profile, so a
-	// sweep quantizes each profile once, not once per solve.
-	quant  map[*interval.Profile]*interval.Profile
-	quantN int
-	// quantProfiles is the scratch profile slice for quantized placements.
-	quantProfiles []*interval.Profile
 }
 
 // NewSolver returns a Solver ready for repeated use.
@@ -127,34 +121,6 @@ func (s *Solver) prepare(n, nCores int) {
 	s.coreUtil = growF(s.coreUtil, nCores)
 }
 
-// quantize swaps each profile for its n-point quantized copy when the model
-// asks for table-lookup curves, memoizing copies so a sweep pays the
-// quantization once per profile.
-func (s *Solver) quantize(p Placement, m Model) Placement {
-	if m.QuantizeCurves <= 0 {
-		return p
-	}
-	if s.quant == nil || s.quantN != m.QuantizeCurves {
-		s.quant = make(map[*interval.Profile]*interval.Profile)
-		s.quantN = m.QuantizeCurves
-	}
-	if cap(s.quantProfiles) < len(p.Profiles) {
-		s.quantProfiles = make([]*interval.Profile, len(p.Profiles))
-	}
-	profs := s.quantProfiles[:len(p.Profiles)]
-	for i, prof := range p.Profiles {
-		q, ok := s.quant[prof]
-		if !ok {
-			q = prof.Quantized(m.QuantizeCurves)
-			s.quant[prof] = q
-		}
-		profs[i] = q
-	}
-	out := p
-	out.Profiles = profs
-	return out
-}
-
 // SolveModel iterates to a fixed point with explicit model choices. The
 // arithmetic and iteration order are exactly the seed engine's — results are
 // bit-identical — only the buffer lifetimes differ.
@@ -163,7 +129,6 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 		return Result{}, err
 	}
 	p = m.flatten(p)
-	p = s.quantize(p, m)
 	n := len(p.CoreOf)
 	s.prepare(n, len(p.Design.Cores))
 	res := Result{
@@ -360,7 +325,7 @@ func (s *Solver) shareCaches(p Placement, ths []int, rate []float64, cc config.C
 			sh.L2 = float64(cc.L2.SizeBytes) / float64(n)
 			sh.LLC = 1 << 20
 		}
-		miss := p.Profiles[ti].DMissAt(sh.L1D / 64)
+		miss := p.Profiles[ti].DCurve.At(sh.L1D / 64)
 		w[k] = p.Profiles[ti].DataAPKU / 1000 * miss * rate[ti]
 		sum += w[k]
 	}

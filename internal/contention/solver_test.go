@@ -73,49 +73,6 @@ func TestSolverReuseBitIdenticalNineDesigns(t *testing.T) {
 	}
 }
 
-// TestSolveQuantizedBitIdenticalOnProfilerGrid: the profiler's miss curves
-// sample log-uniform power-of-two capacities, so quantizing with at least
-// that many grid points is lossless and the table-lookup solver must match
-// the exact solver bit for bit on every design. This is the guarantee that
-// lets sweeps turn QuantizeCurves on without perturbing the paper's tables.
-func TestSolveQuantizedBitIdenticalOnProfilerGrid(t *testing.T) {
-	s := NewSolver()
-	q := NewSolver()
-	for _, d := range config.NineDesigns(true) {
-		pl := place(t, d.Name, true, "tonto", "gcc", "mcf", "hmmer")
-		points := len(pl.Profiles[0].DCurve.Capacities)
-		if points < 2 {
-			t.Fatalf("profiler curve has %d points", points)
-		}
-		exact, err := s.SolveModel(pl, Model{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		quant, err := q.SolveModel(pl, Model{QuantizeCurves: points})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultBitsEqual(t, d.Name+"/quantized", exact, quant)
-	}
-}
-
-// TestSolveQuantizedCoarseStillConverges: an aggressively coarse table (5
-// points over 4 KB..128 MB) is an approximation, but the solver must still
-// converge to finite, plausible state — this is the speed/accuracy knob's
-// safety net.
-func TestSolveQuantizedCoarseStillConverges(t *testing.T) {
-	pl := place(t, "4B", true, "tonto", "gcc", "mcf", "hmmer")
-	res, err := SolveModel(pl, Model{QuantizeCurves: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, th := range res.Threads {
-		if th.IPC <= 0 || math.IsNaN(th.IPC) || math.IsInf(th.IPC, 0) {
-			t.Errorf("thread %d: bad IPC %v under coarse quantization", i, th.IPC)
-		}
-	}
-}
-
 // TestSolverSteadyStateAllocs locks in the hot-path allocation fixes: a
 // reused Solver must not allocate at all at steady state — not per solve and
 // in particular not per iteration (the seed engine rebuilt its LLC weights
@@ -136,21 +93,6 @@ func TestSolverSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("reused Solver allocates %.1f times per solve, want 0", allocs)
-	}
-
-	// Quantized path: after the per-profile tables are built once, table
-	// lookups must be allocation-free too.
-	qm := Model{QuantizeCurves: 16}
-	if _, err := s.SolveModel(pl, qm); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		if _, err := s.SolveModel(pl, qm); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("reused quantized Solver allocates %.1f times per solve, want 0", allocs)
 	}
 }
 

@@ -17,9 +17,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"smtflex/internal/config"
 	"smtflex/internal/cpu"
+	"smtflex/internal/journal"
 	"smtflex/internal/multicore"
 	"smtflex/internal/parallel"
 	"smtflex/internal/profiler"
@@ -33,6 +35,12 @@ import (
 type Simulator struct {
 	src *profiler.Source
 	st  *study.Study
+
+	// mu guards the campaign journal bound by Resume and the figure
+	// payloads it held when opened.
+	mu        sync.Mutex
+	journal   *journal.Journal
+	journaled map[string][]byte
 }
 
 // Option configures a Simulator.
@@ -232,13 +240,25 @@ func FigureIDs() []string {
 
 // Figure regenerates the identified table or figure. The context cancels
 // the underlying simulation campaign: the experiment engine stops handing
-// work to its pool when ctx is done.
+// work to its pool when ctx is done. After Resume, a journaled table is
+// returned without recomputation and a computed one is journaled.
 func (s *Simulator) Figure(ctx context.Context, id string) (*study.Table, error) {
 	f, ok := figureRegistry[id]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown figure %q (known: %v)", id, FigureIDs())
 	}
-	return f(ctx, s.st)
+	t, j := s.journaledTable(id)
+	if t != nil {
+		return t, nil
+	}
+	t, err := f(ctx, s.st)
+	if err != nil || j == nil {
+		return t, err
+	}
+	if err := s.record(j, id, t); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // JobRun is the outcome of one design in a JobStream call.

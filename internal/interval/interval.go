@@ -81,46 +81,6 @@ type Profile struct {
 	// BaselineMemCPI is the measured memory-hierarchy CPI at calibration
 	// (for reporting and tests).
 	BaselineMemCPI float64
-
-	// dtab and itab, when non-nil, replace DCurve/ICurve lookups with the
-	// quantized O(1) tables built by Quantized. They are derived state and
-	// deliberately unexported: JSON round-trips (checkpoint sidecars, saved
-	// profiles) carry only the exact curves, and a freshly decoded profile
-	// uses them until Quantized is called again.
-	dtab, itab *cache.MissTable
-}
-
-// Quantized returns a copy of p whose miss-curve lookups (Evaluate,
-// DMissAt/IMissAt, DRAMAccessesPerUop, LLCAccessesPerUop) go through
-// n-point quantized tables with O(1) At instead of the exact
-// piecewise-linear curves' binary search. The exact curves are retained
-// unchanged. With n >= the number of curve breakpoints the profiler's
-// log-uniform curves quantize losslessly (see cache.MissTable), so results
-// are bit-identical; a smaller n trades accuracy for an even smaller table.
-func (p *Profile) Quantized(n int) *Profile {
-	cp := *p
-	dt, it := p.DCurve.Quantize(n), p.ICurve.Quantize(n)
-	cp.dtab, cp.itab = &dt, &it
-	return &cp
-}
-
-// DMissAt returns the data stream's miss ratio at a capacity in blocks —
-// through the quantized table when armed (see Quantized), the exact DCurve
-// otherwise. The contention solver's inner loop funnels every data-curve
-// lookup through here.
-func (p *Profile) DMissAt(capacityBlocks float64) float64 {
-	if p.dtab != nil {
-		return p.dtab.At(capacityBlocks)
-	}
-	return p.DCurve.At(capacityBlocks)
-}
-
-// IMissAt is DMissAt for the instruction stream's ICurve.
-func (p *Profile) IMissAt(capacityBlocks float64) float64 {
-	if p.itab != nil {
-		return p.itab.At(capacityBlocks)
-	}
-	return p.ICurve.At(capacityBlocks)
 }
 
 // Validate reports structural problems.
@@ -245,8 +205,8 @@ func (p *Profile) Evaluate(cc config.Core, w int, sh Shares) CPIStack {
 
 	// I-cache: rescale the measured baseline contribution by the miss-count
 	// ratio at the thread's I-cache share.
-	baseIMiss := p.IMissAt(blocks(float64(cc.L1I.SizeBytes)))
-	curIMiss := p.IMissAt(blocks(sh.L1I))
+	baseIMiss := p.ICurve.At(blocks(float64(cc.L1I.SizeBytes)))
+	curIMiss := p.ICurve.At(blocks(sh.L1I))
 	if baseIMiss > 1e-12 {
 		st.ICache = p.L1ICPI * (curIMiss / baseIMiss)
 	} else if curIMiss > 1e-12 {
@@ -255,9 +215,9 @@ func (p *Profile) Evaluate(cc config.Core, w int, sh Shares) CPIStack {
 	}
 
 	apu := p.DataAPKU / 1000
-	mL1 := p.DMissAt(blocks(sh.L1D))
-	mL2 := p.DMissAt(blocks(sh.L1D + sh.L2))
-	mLLC := p.DMissAt(blocks(sh.L1D + sh.L2 + sh.LLC))
+	mL1 := p.DCurve.At(blocks(sh.L1D))
+	mL2 := p.DCurve.At(blocks(sh.L1D + sh.L2))
+	mLLC := p.DCurve.At(blocks(sh.L1D + sh.L2 + sh.LLC))
 	// Monotonicity guard: capacities stack, so deeper levels see fewer misses.
 	mL2 = math.Min(mL2, mL1)
 	mLLC = math.Min(mLLC, mL2)
@@ -274,14 +234,14 @@ func (p *Profile) Evaluate(cc config.Core, w int, sh Shares) CPIStack {
 // DRAMAccessesPerUop returns the thread's DRAM block transfers per µop at
 // the given shares, used by the contention solver to compute bus traffic.
 func (p *Profile) DRAMAccessesPerUop(sh Shares) float64 {
-	m := p.DMissAt(blocks(sh.L1D + sh.L2 + sh.LLC))
+	m := p.DCurve.At(blocks(sh.L1D + sh.L2 + sh.LLC))
 	return p.DataAPKU / 1000 * m
 }
 
 // LLCAccessesPerUop returns LLC accesses per µop at the given shares, used
 // to weight LLC capacity competition.
 func (p *Profile) LLCAccessesPerUop(sh Shares) float64 {
-	m := p.DMissAt(blocks(sh.L1D + sh.L2))
+	m := p.DCurve.At(blocks(sh.L1D + sh.L2))
 	return p.DataAPKU / 1000 * m
 }
 

@@ -1,40 +1,53 @@
-// Package journal is a write-ahead journal of completed sweep cells: the
-// durability half of the cluster fabric's crash-recovery story. A
-// coordinator appends one record per completed cell; a coordinator that is
-// kill -9'd mid-sweep reopens the journal on restart, replays the finished
-// cells into its result store, and re-dispatches only the remainder —
-// producing tables byte-identical to an uninterrupted run, because replayed
-// cells feed the exact wire payload the original dispatch produced.
+// Package journal is a write-ahead journal of completed work: the one
+// crash-resume mechanism in the repository. Two owners use it:
+//
+//   - The cluster coordinator appends one record per completed sweep cell,
+//     keyed by the cell's content address. A coordinator that is kill -9'd
+//     mid-sweep reopens the journal on restart, replays the finished cells
+//     into its result store, and re-dispatches only the remainder.
+//   - The campaign CLIs (figures -checkpoint DIR and report -checkpoint
+//     DIR, through core.Simulator.Resume) append one record per finished
+//     figure table, keyed by the figure id, plus one record holding the
+//     measured profile cache. A restarted campaign skips journaled figures
+//     and never re-measures a journaled profile.
+//
+// Either way, resumed output is byte-identical to an uninterrupted run,
+// because replay hands back exactly the payload bytes that were recorded
+// (compacted, see Put).
 //
 // The format is one file per record in a flat directory:
 //
 //	<dir>/meta.json          {"version":1,"fingerprint":"..."}
 //	<dir>/cells/<key>.json   {"version":1,"key":"...","digest":"...","payload":{...}}
 //
-// Every write follows the checkpoint package's crash-safety discipline:
-// temp file in the destination directory, fsync, atomic rename. A crash
-// mid-write leaves at worst an orphaned temp file, never a torn record.
-// Records carry a SHA-256 digest of their payload bytes, so a record
-// corrupted at rest (disk fault, manual tampering) is detected and dropped
-// on replay instead of poisoning a resumed table.
+// Every file is written through atomicfile.WriteFile (temp file, fsync,
+// atomic rename), so a crash mid-write leaves at worst an orphaned temp
+// file, never a torn record. Records carry a SHA-256 digest of their
+// payload bytes, so a record corrupted at rest (disk fault, manual
+// tampering) is detected and dropped on replay instead of poisoning a
+// resumed table.
 //
-// Like internal/checkpoint, the journal is fingerprint-guarded: opening a
-// journal written under a different engine fingerprint wipes it, because
-// cells from a differently configured engine must never be replayed into
-// this one's tables.
+// The journal is fingerprint-guarded: opening a journal written under a
+// different engine fingerprint wipes it, because results from a
+// differently configured engine must never be replayed into this one's
+// tables.
 package journal
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"smtflex/internal/atomicfile"
 )
 
 const version = 1
@@ -46,18 +59,18 @@ type meta struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// record is one journaled cell on disk.
+// record is one journaled result on disk.
 type record struct {
 	Version int `json:"version"`
-	// Key is the cell's content address (echoed in the filename).
+	// Key names the record (echoed in the filename).
 	Key string `json:"key"`
-	// Digest is the SHA-256 hex of Payload's exact bytes; replay drops
-	// records whose payload no longer matches.
+	// Digest is the SHA-256 hex of Payload's exact (compacted) bytes;
+	// replay drops records whose payload no longer matches.
 	Digest  string          `json:"digest"`
 	Payload json.RawMessage `json:"payload"`
 }
 
-// Journal is an open cell journal. It is safe for concurrent Put calls:
+// Journal is an open journal. It is safe for concurrent Put calls:
 // records land in distinct files via unique temp names and atomic renames.
 type Journal struct {
 	dir   string
@@ -135,9 +148,9 @@ func (j *Journal) Dropped() int {
 }
 
 // validKey reports whether key is safe to use verbatim as a filename. The
-// cluster layer's keys are lowercase-hex SHA-256 content addresses, which
-// pass trivially; anything else is rejected rather than escaped, keeping
-// the on-disk mapping bijective.
+// cluster layer's keys are lowercase-hex SHA-256 content addresses and the
+// campaign's are figure ids, which both pass; anything else is rejected
+// rather than escaped, keeping the on-disk mapping bijective.
 func validKey(key string) bool {
 	if key == "" || len(key) > 128 {
 		return false
@@ -151,21 +164,33 @@ func validKey(key string) bool {
 	return true
 }
 
-// Put appends (or overwrites) the record for key with the given payload
-// bytes, crash-safely. The payload must be the exact bytes the caller will
-// want back from Replay.
+// Put appends (or overwrites) the record for key with the given JSON
+// payload, crash-safely. The payload is stored compacted (insignificant
+// whitespace removed, as json.Compact does), and the digest covers the
+// compacted bytes: Replay returns exactly those bytes, so an indented
+// payload comes back compacted rather than dropped. A payload that is not
+// valid JSON is rejected.
 func (j *Journal) Put(key string, payload []byte) error {
 	if !validKey(key) {
-		return fmt.Errorf("journal: invalid record key %q (want a lowercase-hex content address)", key)
+		return fmt.Errorf("journal: invalid record key %q (want 1-128 of [0-9a-z-])", key)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, payload); err != nil {
+		return fmt.Errorf("journal: record %s: payload is not JSON: %w", key, err)
 	}
 	rec := record{
 		Version: version,
 		Key:     key,
-		Digest:  digestOf(payload),
-		Payload: json.RawMessage(payload),
+		Digest:  digestOf(compact.Bytes()),
+		Payload: compact.Bytes(),
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
+	// The encoder must not HTML-escape: the digest covers the payload's
+	// literal bytes, and escaping '<', '>' or '&' inside it would make the
+	// record fail its own digest on replay.
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(rec); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	path := filepath.Join(j.cells, key+".json")
@@ -173,7 +198,7 @@ func (j *Journal) Put(key string, payload []byte) error {
 	if _, err := os.Stat(path); err == nil {
 		existed = true
 	}
-	if err := writeAtomic(path, b); err != nil {
+	if err := writeAtomic(path, b.Bytes()); err != nil {
 		j.mu.Lock()
 		j.errs++
 		j.mu.Unlock()
@@ -221,8 +246,9 @@ func (j *Journal) Replay(fn func(key string, payload []byte)) (replayed, dropped
 	return replayed, dropped, nil
 }
 
-// recordNames lists the record filenames currently on disk, skipping temp
-// residue from interrupted writes.
+// recordNames lists the record filenames currently on disk. Temp residue
+// from interrupted writes never ends in ".json" (see atomicfile), so the
+// suffix check skips it.
 func (j *Journal) recordNames() ([]string, error) {
 	entries, err := os.ReadDir(j.cells)
 	if err != nil {
@@ -230,7 +256,7 @@ func (j *Journal) recordNames() ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") || strings.Contains(e.Name(), ".tmp-") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
 		names = append(names, e.Name())
@@ -245,30 +271,13 @@ func digestOf(payload []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// writeAtomic writes b to path via temp file + fsync + rename, the same
-// crash-safety discipline as internal/checkpoint.
-func writeAtomic(path string, b []byte) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// writeAtomic writes b to path crash-safely.
+func writeAtomic(path string, b []byte) error {
+	err := atomicfile.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("journal: saving: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(b); err != nil {
-		return fmt.Errorf("journal: saving: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("journal: saving: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("journal: saving: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("journal: saving: %w", err)
 	}
 	return nil

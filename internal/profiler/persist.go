@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"smtflex/internal/atomicfile"
 	"smtflex/internal/config"
 	"smtflex/internal/interval"
 )
@@ -54,32 +54,11 @@ func (s *Source) SaveJSON(w io.Writer) error {
 	return enc.Encode(file)
 }
 
-// SaveJSONFile writes the profiles to path crash-safely: the data goes to a
-// temporary file in the same directory, is fsynced, and then atomically
-// renamed over the destination. A crash mid-write leaves the previous file
-// intact rather than a truncated JSON document.
-func (s *Source) SaveJSONFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("profiler: saving profiles: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = s.SaveJSON(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("profiler: saving profiles: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("profiler: saving profiles: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
+// SaveJSONFile writes the profiles to path crash-safely (see atomicfile): a
+// crash mid-write leaves the previous file intact rather than a truncated
+// JSON document.
+func (s *Source) SaveJSONFile(path string) error {
+	if err := atomicfile.WriteFile(path, s.SaveJSON); err != nil {
 		return fmt.Errorf("profiler: saving profiles: %w", err)
 	}
 	return nil

@@ -84,8 +84,34 @@ func (s *Server) handleTimestack(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// debugRoutes is the one list of read-only debug endpoints. Both the main
+// listener (Handler) and the loopback debug listener (DebugHandler) mount
+// every entry.
+var debugRoutes = []struct {
+	pattern string
+	handle  func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"GET /debug/traces", (*Server).handleTraces},
+	{"GET /debug/traces/{id}", (*Server).handleTraceByID},
+	{"GET /debug/timestack", (*Server).handleTimestack},
+	{"GET /debug/machstats", (*Server).handleMachStats},
+	{"GET /debug/cluster", (*Server).handleDebugCluster},
+	{"GET /debug/fleet", (*Server).handleFleet},
+	{"GET /debug/flight", (*Server).handleFlight},
+	{"GET /debug/flight/{sweep}", (*Server).handleFlight},
+	{"GET /debug/perfsnap", (*Server).handlePerfsnap},
+	{"GET /debug/perfsnap/ring", (*Server).handlePerfRing},
+}
+
+// mountDebugRoutes registers every entry of debugRoutes on mux.
+func (s *Server) mountDebugRoutes(mux *http.ServeMux) {
+	for _, r := range debugRoutes {
+		mux.HandleFunc(r.pattern, func(w http.ResponseWriter, req *http.Request) { r.handle(s, w, req) })
+	}
+}
+
 // DebugHandler serves the full debug surface: net/http/pprof under
-// /debug/pprof/ plus the trace and time-stack endpoints. It is meant for a
+// /debug/pprof/ plus every read-only debug route. It is meant for a
 // separate loopback listener (smtflexd -debug-addr), never the public one —
 // pprof's CPU profile endpoint can hold a goroutine for tens of seconds.
 func (s *Server) DebugHandler() http.Handler {
@@ -95,14 +121,6 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
-	mux.HandleFunc("GET /debug/timestack", s.handleTimestack)
-	mux.HandleFunc("GET /debug/machstats", s.handleMachStats)
-	mux.HandleFunc("GET /debug/fleet", s.handleFleet)
-	mux.HandleFunc("GET /debug/flight", s.handleFlight)
-	mux.HandleFunc("GET /debug/flight/{sweep}", s.handleFlight)
-	mux.HandleFunc("GET /debug/perfsnap", s.handlePerfsnap)
-	mux.HandleFunc("GET /debug/perfsnap/ring", s.handlePerfRing)
+	s.mountDebugRoutes(mux)
 	return mux
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
@@ -531,4 +532,28 @@ func seriesKey(labels map[string]string, exclude string) string {
 		parts[i] = fmt.Sprintf("%s=%q", k, labels[k])
 	}
 	return "{" + strings.Join(parts, ",") + "}"
+}
+
+// TestDebugRoutesOnBothHandlers: every debugRoutes entry is routed, and
+// answered by its own handler rather than the mux's not-found or
+// wrong-method reply, on both the main and the loopback debug listener.
+func TestDebugRoutesOnBothHandlers(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	fill := strings.NewReplacer("{id}", "t-none", "{sweep}", "0123456789abcdef")
+	for name, h := range map[string]http.Handler{"Handler": s.Handler(), "DebugHandler": s.DebugHandler()} {
+		mux := h.(*http.ServeMux)
+		for _, r := range debugRoutes {
+			path := fill.Replace(strings.TrimPrefix(r.pattern, "GET "))
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			if _, got := mux.Handler(req); got != r.pattern {
+				t.Errorf("%s: GET %s routes to %q, want %q", name, path, got, r.pattern)
+				continue
+			}
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, req)
+			if rec.Code == http.StatusMethodNotAllowed || rec.Body.String() == "404 page not found\n" {
+				t.Errorf("%s: GET %s answered by the mux (%d %q)", name, path, rec.Code, rec.Body.String())
+			}
+		}
+	}
 }

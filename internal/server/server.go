@@ -213,16 +213,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("POST /v1/place", s.endpoint("/v1/place", s.handlePlace))
 	s.mux.Handle("GET /v1/figures/{id}", s.endpoint("/v1/figures", s.handleFigure))
 	s.mux.Handle("POST /v1/jobsim", s.endpoint("/v1/jobsim", s.handleJobsim))
-	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
-	s.mux.HandleFunc("GET /debug/timestack", s.handleTimestack)
-	s.mux.HandleFunc("GET /debug/machstats", s.handleMachStats)
-	s.mux.HandleFunc("GET /debug/cluster", s.handleDebugCluster)
-	s.mux.HandleFunc("GET /debug/fleet", s.handleFleet)
-	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
-	s.mux.HandleFunc("GET /debug/flight/{sweep}", s.handleFlight)
-	s.mux.HandleFunc("GET /debug/perfsnap", s.handlePerfsnap)
-	s.mux.HandleFunc("GET /debug/perfsnap/ring", s.handlePerfRing)
+	s.mountDebugRoutes(s.mux)
 	if s.worker != nil {
 		s.mux.Handle("POST "+cluster.CellPath, s.endpoint(cluster.CellPath, s.handleCell))
 	}
