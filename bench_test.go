@@ -317,13 +317,34 @@ func BenchmarkSchedulerPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkStackProfiler measures reuse-distance profiling throughput.
+// BenchmarkStackProfiler measures reuse-distance profiling throughput in
+// ns/touch over mcf's data-block stream. The profiler is warmed on one full
+// pass first, so the timed touches are steady state: every block is already
+// known and the only allocations would be the profiler's own.
 func BenchmarkStackProfiler(b *testing.B) {
+	spec, err := workload.ByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := trace.NewGenerator(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var stream []uint64
+	for len(stream) < 1<<18 {
+		if u := g.Next(); u.Class.IsMem() {
+			stream = append(stream, cache.BlockAddr(u.Addr))
+		}
+	}
 	p := cache.NewStackProfiler(0)
+	for _, blk := range stream {
+		p.Touch(blk)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Touch(uint64(i % 100000))
+		p.Touch(stream[i%len(stream)])
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/touch")
 }
 
 // BenchmarkIntervalEvaluate measures one CPI-stack evaluation.
@@ -346,6 +367,29 @@ func BenchmarkIntervalEvaluate(b *testing.B) {
 			b.Fatal("bad stack")
 		}
 	}
+}
+
+// BenchmarkProfileMeasure measures cold profiling end to end: a fresh
+// Source measures all 36 profiles (every benchmark on every core type, curve
+// passes included) at a fixed µop count. ns/uop divides the time by the
+// profiling stream each profile reads (Warmup+UopCount µops), so it is
+// comparable across µop counts.
+func BenchmarkProfileMeasure(b *testing.B) {
+	const uops = 20_000
+	specs := workload.Benchmarks()
+	var streamUops uint64
+	for i := 0; i < b.N; i++ {
+		src := profiler.NewSource(uops)
+		for _, spec := range specs {
+			for ct := config.CoreType(0); ct < config.NumCoreTypes; ct++ {
+				if _, err := src.Profile(spec, ct); err != nil {
+					b.Fatal(err)
+				}
+				streamUops += src.Warmup + src.UopCount
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(streamUops), "ns/uop")
 }
 
 // BenchmarkProfileMeasurement measures the one-time cost of characterizing

@@ -112,7 +112,9 @@ type line struct {
 // Cache is a set-associative write-back, write-allocate cache with true LRU
 // replacement.
 type Cache struct {
-	cfg      Config
+	cfg Config
+	// sets[s] holds set s's lines, allocated on the set's first access, so a
+	// cache that an idealized core never reaches holds no lines.
 	sets     [][]line
 	setShift uint
 	setMask  uint64
@@ -129,17 +131,12 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	n := cfg.Sets()
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
 		sets:     make([][]line, n),
 		setShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 		setMask:  uint64(n - 1),
-	}
-	backing := make([]line, n*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-	}
-	return c, nil
+	}, nil
 }
 
 // Config returns the cache geometry.
@@ -150,7 +147,7 @@ func (c *Cache) Latency() int { return c.cfg.LatencyCycles }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	block := addr >> c.setShift
-	return int(block & c.setMask), block >> uint(bits.TrailingZeros(uint(len(c.sets))))
+	return int(block & c.setMask), block >> bits.Len64(c.setMask)
 }
 
 // Access looks up addr, allocating on miss. It returns hit=true on a hit and
@@ -160,6 +157,10 @@ func (c *Cache) Access(addr uint64, kind AccessKind) (hit, evictedDirty bool) {
 	c.stamp++
 	set, tag := c.index(addr)
 	lines := c.sets[set]
+	if lines == nil {
+		lines = make([]line, c.cfg.Assoc)
+		c.sets[set] = lines
+	}
 	victim := 0
 	for i := range lines {
 		ln := &lines[i]
@@ -193,8 +194,7 @@ func (c *Cache) Access(addr uint64, kind AccessKind) (hit, evictedDirty bool) {
 // statistics. Used by tests and by the scheduler's footprint estimation.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+	for _, ln := range c.sets[set] {
 		if ln.valid && ln.tag == tag {
 			return true
 		}
@@ -205,13 +205,12 @@ func (c *Cache) Probe(addr uint64) bool {
 // Flush invalidates all lines and returns the number of dirty lines dropped.
 func (c *Cache) Flush() int {
 	dirty := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			ln := &c.sets[s][i]
+	for _, set := range c.sets {
+		for i, ln := range set {
 			if ln.valid && ln.dirty {
 				dirty++
 			}
-			*ln = line{}
+			set[i] = line{}
 		}
 	}
 	return dirty

@@ -120,6 +120,28 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+func TestLinesAllocatedOnFirstAccess(t *testing.T) {
+	c := mustNew(t, testConfig())
+	allocated := func() (n int) {
+		for _, set := range c.sets {
+			n += len(set)
+		}
+		return n
+	}
+	if c.Probe(0x80) || c.Flush() != 0 || allocated() != 0 {
+		t.Fatal("an untouched cache holds lines")
+	}
+	c.Access(0x80, Read)
+	if got := allocated(); got != testConfig().Assoc {
+		t.Fatalf("%d lines after one access, want one set of %d", got, testConfig().Assoc)
+	}
+	// The tag starts right above the set index: addresses Sets×BlockBytes
+	// apart share a set and differ in the lowest tag bit only.
+	if c.Probe(0x80 + uint64(testConfig().Sets()*testConfig().BlockBytes)) {
+		t.Fatal("address in the same set with another tag aliased the cached line")
+	}
+}
+
 func TestBlockAlignedAccessesSameLine(t *testing.T) {
 	c := mustNew(t, testConfig())
 	c.Access(0x100, Read)

@@ -3,6 +3,7 @@ package cache
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -14,50 +15,103 @@ import (
 //
 // Distances are recorded in power-of-two buckets: bucket b counts accesses
 // with stack distance d where bits.Len(d) == b, so the miss ratio at any
-// power-of-two capacity is exact. The implementation uses an
-// order-statistics treap over access timestamps, so each touch is
-// O(log n) in the number of distinct blocks.
+// power-of-two capacity is exact. A Fenwick tree over access timestamps
+// marks each block's latest one; a stack distance is the number of marks
+// after the block's previous access. A touch is O(log n) in the n distinct
+// blocks and allocates nothing once all are seen; when the timestamps run
+// out, the live ones are renumbered 1..n, keeping the tree O(n).
 type StackProfiler struct {
-	last  map[uint64]uint64 // block -> timestamp of previous access
-	tree  *treap
-	clock uint64
+	id    map[uint64]int32 // block -> dense block id
+	stamp []uint32         // block id -> timestamp of its latest access
+	owner []int32          // timestamp (1-based) -> block id touched then
+	// tree is a Fenwick tree over timestamps 1..len(tree)-1 holding 1 at
+	// every block's latest timestamp.
+	tree  []int32
+	clock uint32 // last timestamp issued
 	// hist[b] counts accesses whose stack distance d has bits.Len64(d)==b.
-	hist [65]uint64
-	// cold counts first-touch accesses (infinite distance).
-	cold uint64
-	// total counts all accesses.
-	total uint64
+	hist  [65]uint64
+	cold  uint64 // first-touch accesses (infinite distance)
+	total uint64 // all accesses
 }
+
+// minStackSlots is the smallest timestamp range the profiler keeps.
+const minStackSlots = 1 << 10
 
 // NewStackProfiler returns an empty profiler. The argument is retained for
 // compatibility and ignored; bucketing makes the resolution unbounded.
 func NewStackProfiler(int) *StackProfiler {
-	return &StackProfiler{last: make(map[uint64]uint64), tree: newTreap()}
+	return &StackProfiler{id: make(map[uint64]int32)}
 }
 
 // Touch records an access to block (a block-aligned address or block id).
 func (p *StackProfiler) Touch(block uint64) {
-	p.clock++
 	p.total++
-	prev, seen := p.last[block]
+	if int(p.clock)+1 >= len(p.tree) {
+		p.renumber()
+	}
+	p.clock++
+	id, seen := p.id[block]
 	if seen {
-		// Stack distance = number of distinct blocks touched since prev,
-		// which is the count of timestamps in the tree greater than prev.
-		d := uint64(p.tree.countGreater(prev))
-		p.hist[bits.Len64(d)]++
-		p.tree.delete(prev)
+		// The stack distance is the number of live timestamps after prev.
+		prev := p.stamp[id]
+		p.hist[bits.Len64(uint64(len(p.stamp)-int(p.prefix(prev))))]++
+		p.add(prev, -1)
+		p.stamp[id] = p.clock
 	} else {
 		p.cold++
+		id = int32(len(p.stamp))
+		p.id[block] = id
+		p.stamp = append(p.stamp, p.clock)
 	}
-	p.tree.insert(p.clock)
-	p.last[block] = p.clock
+	p.owner[p.clock] = id
+	p.add(p.clock, 1)
+}
+
+// prefix returns the number of live timestamps in 1..t.
+func (p *StackProfiler) prefix(t uint32) int32 {
+	var sum int32
+	for i := int(t); i > 0; i &= i - 1 {
+		sum += p.tree[i]
+	}
+	return sum
+}
+
+// add adds v at timestamp t.
+func (p *StackProfiler) add(t uint32, v int32) {
+	for i := int(t); i < len(p.tree); i += i & -i {
+		p.tree[i] += v
+	}
+}
+
+// renumber maps the live timestamps, in order, onto 1..n and rebuilds the
+// tree with at least n free timestamps. Stack distances depend only on the
+// order of timestamps, so they are unchanged.
+func (p *StackProfiler) renumber() {
+	n := uint32(0)
+	for t := uint32(1); t <= p.clock; t++ {
+		if id := p.owner[t]; p.stamp[id] == t {
+			n++
+			p.stamp[id] = n
+			p.owner[n] = id
+		}
+	}
+	if size := len(p.tree) - 1; size < 2*int(n) || size < minStackSlots {
+		size = max(4*int(n), minStackSlots)
+		p.owner = slices.Grow(p.owner, size+1-len(p.owner))[:size+1]
+		p.tree = make([]int32, size+1)
+	}
+	// Node i covers timestamps (i-lowbit(i), i]; ones fill exactly 1..n.
+	for i := 1; i < len(p.tree); i++ {
+		p.tree[i] = int32(max(min(i, int(n))-(i-i&-i), 0))
+	}
+	p.clock = n
 }
 
 // Accesses returns the total number of touches recorded.
 func (p *StackProfiler) Accesses() uint64 { return p.total }
 
 // DistinctBlocks returns the number of distinct blocks seen.
-func (p *StackProfiler) DistinctBlocks() int { return len(p.last) }
+func (p *StackProfiler) DistinctBlocks() int { return len(p.stamp) }
 
 // Snapshot captures the profiler's counters so a later window can be
 // measured as a delta (used to exclude warmup).

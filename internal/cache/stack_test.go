@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,6 +53,101 @@ func TestStackProfilerMatchesNaiveLRU(t *testing.T) {
 		if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("capacity %d: miss ratio %g, naive LRU %g", capacity, got, want)
 		}
+	}
+}
+
+// naiveStackDistance returns the LRU stack distance of each reference (the
+// number of distinct blocks touched since the block's previous reference),
+// or -1 for a first touch, by keeping the whole LRU stack in a slice.
+func naiveStackDistance(refs []uint64) []int {
+	var stack []uint64 // front = MRU
+	out := make([]int, len(refs))
+	for i, b := range refs {
+		out[i] = -1
+		for d, s := range stack {
+			if s == b {
+				out[i] = d
+				stack = append(stack[:d], stack[d+1:]...)
+				break
+			}
+		}
+		stack = append([]uint64{b}, stack...)
+	}
+	return out
+}
+
+// TestStackProfilerExactAcrossRenumbering checks every touch's distance
+// bucket against the naive LRU stack on seeded streams long enough to cross
+// many timestamp renumberings, with working sets below, near and above the
+// initial timestamp range so the tree also grows mid-stream.
+func TestStackProfilerExactAcrossRenumbering(t *testing.T) {
+	for _, blocks := range []int{7, 300, 900, 5000} {
+		rng := rand.New(rand.NewSource(int64(blocks)))
+		refs := make([]uint64, 12*minStackSlots)
+		for i := range refs {
+			// A hot subset plus a uniform tail gives short and long distances.
+			if rng.Intn(2) == 0 {
+				refs[i] = uint64(rng.Intn(1+blocks/16)) << 6
+			} else {
+				refs[i] = uint64(rng.Intn(blocks)) << 6
+			}
+		}
+		want := naiveStackDistance(refs)
+		p := NewStackProfiler(0)
+		renumbers := 0
+		for i, b := range refs {
+			before := p.Checkpoint()
+			clock := p.clock
+			p.Touch(b)
+			if p.clock <= clock {
+				renumbers++
+			}
+			got := -1
+			for k := range p.hist {
+				if p.hist[k] != before.hist[k] {
+					got = k
+				}
+			}
+			wantBucket := -1
+			if want[i] >= 0 {
+				wantBucket = bits.Len(uint(want[i]))
+			}
+			if got != wantBucket {
+				t.Fatalf("%d blocks, touch %d (block %#x): bucket %d, naive distance %d (bucket %d)",
+					blocks, i, b, got, want[i], wantBucket)
+			}
+		}
+		if renumbers < 3 {
+			t.Errorf("%d blocks: stream crossed only %d renumberings", blocks, renumbers)
+		}
+		if size := len(p.tree) - 1; size > 4*max(p.DistinctBlocks(), minStackSlots) {
+			t.Errorf("%d blocks: %d timestamp slots for %d distinct blocks", blocks, size, p.DistinctBlocks())
+		}
+	}
+}
+
+// TestStackProfilerSteadyStateAllocs: once every block has been seen, a
+// touch allocates nothing, renumberings included.
+func TestStackProfilerSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	refs := make([]uint64, 1<<14)
+	for i := range refs {
+		refs[i] = uint64(rng.Intn(2000)) << 6
+	}
+	p := NewStackProfiler(0)
+	for _, b := range refs {
+		p.Touch(b)
+	}
+	for b := uint64(0); b < 2000; b++ { // make sure every block is known
+		p.Touch(b << 6)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(refs), func() {
+		p.Touch(refs[i%len(refs)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("%g allocations per steady-state touch, want 0", allocs)
 	}
 }
 

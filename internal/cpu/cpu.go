@@ -310,6 +310,9 @@ func (c *Core) robGate(t *threadCtx) float64 {
 // ThreadStats returns statistics for context ti.
 func (c *Core) ThreadStats(ti int) ThreadStats { return c.thread[ti].stats }
 
+// ThreadUops returns ThreadStats(ti).Uops without copying the whole struct.
+func (c *Core) ThreadUops(ti int) uint64 { return c.thread[ti].stats.Uops }
+
 // ThreadDone reports whether the context was deactivated.
 func (c *Core) ThreadDone(ti int) bool { return !c.thread[ti].active }
 

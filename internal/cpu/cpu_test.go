@@ -30,8 +30,6 @@ func (s *uopScript) Next() isa.Uop {
 	s.pos++
 	return u
 }
-func (s *uopScript) Reset()        { s.pos = 0 }
-func (s *uopScript) Count() uint64 { return s.pos }
 
 func alu() isa.Uop { return isa.Uop{Class: isa.IntAlu} }
 

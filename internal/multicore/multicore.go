@@ -182,7 +182,9 @@ func (c *Chip) ThreadStats(id int) cpu.ThreadStats {
 // returns per-thread statistics. Threads that reach the target early keep
 // running (their traces restart automatically via the generator's unbounded
 // stream) so shared-resource pressure stays realistic, matching the paper's
-// methodology of restarting finished programs.
+// methodology of restarting finished programs. Every call steps at least
+// once; a lone thread run to ascending targets has read exactly target µops
+// after each call.
 func (c *Chip) Run(target uint64) []cpu.ThreadStats {
 	if len(c.threads) == 0 {
 		return nil
@@ -190,13 +192,16 @@ func (c *Chip) Run(target uint64) []cpu.ThreadStats {
 	remaining := len(c.threads)
 	reached := make([]bool, len(c.threads))
 	for remaining > 0 {
-		id := c.pickNext()
+		id := 0 // a lone thread is always the one pickNext would choose
+		if len(c.threads) > 1 {
+			id = c.pickNext()
+		}
 		loc := c.threads[id]
 		core := c.cores[loc.core]
 		core.StepThread(loc.ctx)
 		c.clock++
 		c.served[id] = c.clock
-		if !reached[id] && core.ThreadStats(loc.ctx).Uops >= target {
+		if !reached[id] && core.ThreadUops(loc.ctx) >= target {
 			reached[id] = true
 			remaining--
 		}

@@ -233,3 +233,60 @@ func TestDirtyLLCEvictionsReachDRAM(t *testing.T) {
 		t.Fatal("more writebacks than fills")
 	}
 }
+
+// TestRunInChunksBitIdentical: a lone thread run to ascending targets in
+// small chunks ends every chunk at exactly its target, and reaches the same
+// state as the Run(warmup), Run(warmup+uops) pair and as stepping the core
+// by hand — bit for bit, DRAM included, on every core type with and without
+// idealization.
+func TestRunInChunksBitIdentical(t *testing.T) {
+	const warmup, uops = 3000, 4000
+	for ct := config.CoreType(0); ct < config.NumCoreTypes; ct++ {
+		for _, ideal := range []cpu.Ideal{{}, {ICache: true, DCache: true}} {
+			d := config.Design{Name: "one", MemBandwidthGBps: 8, Cores: []config.Core{config.CoreOfType(ct)}}
+			llc := config.LLCConfig()
+			d.LLC.SizeBytes, d.LLC.Assoc, d.LLC.LatencyCycles = llc.SizeBytes, llc.Assoc, llc.LatencyCycles
+			chip := func() *Chip {
+				c, err := New(d, ideal)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.AttachThread(0, reader(t, "mcf", 5)); err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			pair, chunked, stepped := chip(), chip(), chip()
+
+			pair.Run(warmup)
+			warm := pair.ThreadStats(0)
+			pair.Run(warmup + uops)
+
+			var chunkWarm cpu.ThreadStats
+			for done := uint64(0); done < warmup+uops; {
+				done = min(done+997, warmup+uops)
+				if done > warmup && chunkWarm.Uops == 0 {
+					done = warmup
+				}
+				if st := chunked.Run(done); st[0].Uops != done {
+					t.Fatalf("%s: chunk to %d retired %d µops", ct, done, st[0].Uops)
+				}
+				if done == warmup {
+					chunkWarm = chunked.ThreadStats(0)
+				}
+			}
+			for i := 0; i < warmup+uops; i++ {
+				stepped.Core(0).StepThread(0)
+			}
+
+			if chunkWarm != warm {
+				t.Errorf("%s %+v: warm stats differ in chunks:\n%+v\n%+v", ct, ideal, chunkWarm, warm)
+			}
+			for name, c := range map[string]*Chip{"chunked": chunked, "stepped": stepped} {
+				if c.ThreadStats(0) != pair.ThreadStats(0) || c.DRAMStats() != pair.DRAMStats() || c.LLCStats() != pair.LLCStats() {
+					t.Errorf("%s %+v: %s run differs from Run pair:\n%+v\n%+v", ct, ideal, name, c.ThreadStats(0), pair.ThreadStats(0))
+				}
+			}
+		}
+	}
+}

@@ -14,7 +14,6 @@ package profiler
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"smtflex/internal/cache"
@@ -42,26 +41,20 @@ var curveCapacities = func() []int {
 	return caps
 }()
 
-// maxCurveDist bounds the stack profiler's resolution (128 MB of blocks).
-const maxCurveDist = (128 << 20) / isa.MemBlockSize
-
 // baseWindows returns the ROB partition sizes to sample for a core type:
 // every partition the SMT levels of the study can produce.
 func baseWindows(cc config.Core) []int {
 	if !cc.OutOfOrder {
 		return []int{2 * cc.Width}
 	}
-	seen := map[int]bool{}
 	var ws []int
-	// Iterating thread count from high to low yields ascending partitions.
+	// Iterating thread count from high to low yields ascending partitions,
+	// so repeats are adjacent.
 	for n := cc.SMTContexts; n >= 1; n-- {
-		w := interval.Partition(cc, n)
-		if !seen[w] {
-			seen[w] = true
+		if w := interval.Partition(cc, n); len(ws) == 0 || w != ws[len(ws)-1] {
 			ws = append(ws, w)
 		}
 	}
-	sort.Ints(ws)
 	return ws
 }
 
@@ -164,8 +157,8 @@ func (s *Source) measureCurves(spec trace.Spec) (*curvePair, error) {
 	if err != nil {
 		return nil, err
 	}
-	dataProf := cache.NewStackProfiler(maxCurveDist)
-	codeProf := cache.NewStackProfiler(maxCurveDist)
+	dataProf := cache.NewStackProfiler(0)
+	codeProf := cache.NewStackProfiler(0)
 	var dataAccesses, iBlocks uint64
 	var lastBlock uint64
 	var dataSnap, codeSnap cache.Snapshot
@@ -195,6 +188,34 @@ func (s *Source) measureCurves(spec trace.Spec) (*curvePair, error) {
 	}, nil
 }
 
+// run is one idealization run of a profile: the core it simulates (base
+// windows differ in ROB size) and what it idealizes.
+type run struct {
+	cc    config.Core
+	ideal cpu.Ideal
+}
+
+// profileRuns lists the idealization runs of a profile on cc, in the order
+// assemble reads them: A (perfect everything) at every base window,
+// ascending, then B (real branches), C (real I-cache), D (real data
+// hierarchy) and, for SMT out-of-order cores, Dmin (D at the smallest SMT
+// partition). The runs with an ideal data hierarchy form a prefix.
+func profileRuns(cc config.Core) []run {
+	var runs []run
+	for _, w := range baseWindows(cc) {
+		wcc := cc
+		if cc.OutOfOrder {
+			wcc.ROBSize = w
+		}
+		runs = append(runs, run{wcc, cpu.Ideal{Branch: true, ICache: true, DCache: true}})
+	}
+	runs = append(runs, run{cc, cpu.Ideal{ICache: true, DCache: true}}, run{cc, cpu.Ideal{DCache: true}}, run{cc, cpu.Ideal{}})
+	if cc.OutOfOrder && cc.SMTContexts > 1 {
+		runs = append(runs, run{runs[0].cc, cpu.Ideal{}}) // the smallest partition
+	}
+	return runs
+}
+
 // measured holds the warm-window measurement of one run.
 type measured struct {
 	cpi         float64
@@ -202,44 +223,96 @@ type measured struct {
 	wbFraction  float64 // DRAM writebacks per DRAM fill
 }
 
-// runOnce simulates spec alone on a single core with configuration cc and
-// the given ideal flags, discarding a warmup window before measuring.
-func (s *Source) runOnce(spec trace.Spec, cc config.Core, ideal cpu.Ideal) (measured, error) {
-	d := config.Design{Name: "profiling", SMTEnabled: false, MemBandwidthGBps: 8}
-	d.Cores = []config.Core{cc}
-	llc := config.LLCConfig()
-	d.LLC.SizeBytes = llc.SizeBytes
-	d.LLC.Assoc = llc.Assoc
-	d.LLC.LatencyCycles = llc.LatencyCycles
-
-	chip, err := multicore.New(d, ideal)
-	if err != nil {
-		return measured{}, err
+// simulate measures every run. Consecutive runs with an ideal data
+// hierarchy reach their LLC only on instruction misses, a few lazily
+// allocated sets, so they share one trace pass; D and Dmin fill theirs with
+// data and get a pass each, so one such LLC is live at a time.
+func (s *Source) simulate(spec trace.Spec, runs []run) ([]measured, error) {
+	res := make([]measured, len(runs))
+	for lo, hi := 0, 1; lo < len(runs); lo, hi = hi, hi+1 {
+		for hi < len(runs) && runs[lo].ideal.DCache && runs[hi].ideal.DCache {
+			hi++
+		}
+		if err := s.runLockstep(spec, runs[lo:hi], res[lo:hi]); err != nil {
+			return nil, err
+		}
 	}
+	return res, nil
+}
+
+// chunkUops is the length of the µop chunk a trace pass hands its runs: long
+// enough to amortize switching chips, short enough (160 KB) to stay cached.
+const chunkUops = 4096
+
+// chunkReader replays the chunk the trace pass last generated to one chip
+// after another. Reading past its end panics: a chip consuming more than
+// its share would break the lockstep.
+type chunkReader struct {
+	uops []isa.Uop
+	pos  int
+}
+
+// Next implements trace.Reader.
+func (r *chunkReader) Next() isa.Uop {
+	r.pos++
+	return r.uops[r.pos-1]
+}
+
+// runLockstep simulates each run alone on its own single-core chip, all fed
+// by one profileSeed generator: it fills a chunk, every chip consumes
+// exactly that chunk, and so on. A one-thread chip reads one µop per retired
+// µop, so each chip sees the Warmup+UopCount prefix a private generator
+// would give it. A chunk ends at Warmup, where the warm window starts.
+func (s *Source) runLockstep(spec trace.Spec, runs []run, out []measured) error {
 	g, err := trace.NewGenerator(spec, profileSeed)
 	if err != nil {
-		return measured{}, err
+		return err
 	}
-	id, err := chip.AttachThread(0, g)
-	if err != nil {
-		return measured{}, err
+	chips := make([]*multicore.Chip, len(runs))
+	rd := &chunkReader{}
+	for i, r := range runs {
+		d := config.Design{Name: "profiling", MemBandwidthGBps: 8, Cores: []config.Core{r.cc}}
+		llc := config.LLCConfig()
+		d.LLC.SizeBytes, d.LLC.Assoc, d.LLC.LatencyCycles = llc.SizeBytes, llc.Assoc, llc.LatencyCycles
+		if chips[i], err = multicore.New(d, r.ideal); err != nil {
+			return err
+		}
+		if _, err := chips[i].AttachThread(0, rd); err != nil {
+			return err
+		}
 	}
-	chip.Run(s.Warmup)
-	warm := chip.ThreadStats(id)
-	warmDram := chip.DRAMStats()
-	chip.Run(s.Warmup + s.UopCount)
-	final := chip.ThreadStats(id)
-	finalDram := chip.DRAMStats()
-
-	duops := float64(final.Uops - warm.Uops)
-	m := measured{
-		cpi:         (final.FinishTime - warm.FinishTime) / duops,
-		mispredicts: float64(final.Mispredicts-warm.Mispredicts) / duops,
+	chunk := make([]isa.Uop, min(chunkUops, s.Warmup+s.UopCount))
+	var stats [2][]cpu.ThreadStats // at Warmup and at the end
+	var dram [2][]mem.Stats
+	done := uint64(0)
+	for e, edge := range []uint64{s.Warmup, s.Warmup + s.UopCount} {
+		for done < edge {
+			buf := chunk[:min(uint64(len(chunk)), edge-done)]
+			for i := range buf {
+				buf[i] = g.Next()
+			}
+			done += uint64(len(buf))
+			for _, c := range chips {
+				*rd = chunkReader{uops: buf}
+				c.Run(done)
+			}
+		}
+		for _, c := range chips {
+			stats[e], dram[e] = append(stats[e], c.ThreadStats(0)), append(dram[e], c.DRAMStats())
+		}
 	}
-	if fills := finalDram.Accesses - warmDram.Accesses; fills > 0 {
-		m.wbFraction = float64(finalDram.Writebacks-warmDram.Writebacks) / float64(fills)
+	for i := range chips {
+		warm, final := stats[0][i], stats[1][i]
+		duops := float64(final.Uops - warm.Uops)
+		out[i] = measured{
+			cpi:         (final.FinishTime - warm.FinishTime) / duops,
+			mispredicts: float64(final.Mispredicts-warm.Mispredicts) / duops,
+		}
+		if fills := dram[1][i].Accesses - dram[0][i].Accesses; fills > 0 {
+			out[i].wbFraction = float64(dram[1][i].Writebacks-dram[0][i].Writebacks) / float64(fills)
+		}
 	}
-	return m, nil
+	return nil
 }
 
 func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreType) (*interval.Profile, error) {
@@ -251,65 +324,50 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 	if err := faults.Check(faults.SiteProfiler); err != nil {
 		return nil, err
 	}
-	cc := config.CoreOfType(ct)
 	curves, err := s.curvesFor(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-
-	p := &interval.Profile{
-		Benchmark:  spec.Name,
-		Core:       ct,
-		DataAPKU:   curves.dataAPKU,
-		IBlockAPKU: curves.iBlockAPKU,
-		DCurve:     curves.data,
-		ICurve:     curves.code,
-	}
-
-	// Base CPI at every reachable ROB partition (perfect everything).
-	allIdeal := cpu.Ideal{Branch: true, ICache: true, DCache: true}
-	for _, w := range baseWindows(cc) {
-		wcc := cc
-		if cc.OutOfOrder {
-			wcc.ROBSize = w
-		}
-		st, err := s.runOnce(spec, wcc, allIdeal)
-		if err != nil {
-			return nil, err
-		}
-		p.BaseWindows = append(p.BaseWindows, w)
-		p.BaseCPIs = append(p.BaseCPIs, st.cpi)
-	}
-	cpiA := p.BaseCPIs[len(p.BaseCPIs)-1] // full-window base CPI
-
-	// Real branches.
-	stB, err := s.runOnce(spec, cc, cpu.Ideal{ICache: true, DCache: true})
+	res, err := s.simulate(spec, profileRuns(config.CoreOfType(ct)))
 	if err != nil {
 		return nil, err
 	}
+	return assemble(spec, ct, curves, res)
+}
+
+// assemble derives the profile of spec on core type ct from its curves and
+// the measurements of profileRuns, in that order.
+func assemble(spec trace.Spec, ct config.CoreType, curves *curvePair, res []measured) (*interval.Profile, error) {
+	cc := config.CoreOfType(ct)
+	p := &interval.Profile{
+		Benchmark:   spec.Name,
+		Core:        ct,
+		DataAPKU:    curves.dataAPKU,
+		IBlockAPKU:  curves.iBlockAPKU,
+		DCurve:      curves.data,
+		ICurve:      curves.code,
+		BaseWindows: baseWindows(cc),
+	}
+	// Base CPI at every reachable ROB partition (perfect everything).
+	nw := len(p.BaseWindows)
+	for _, m := range res[:nw] {
+		p.BaseCPIs = append(p.BaseCPIs, m.cpi)
+	}
+	cpiA := p.BaseCPIs[nw-1] // full-window base CPI
+
+	// Each of B, C and D restores one real component; the CPI deltas are
+	// the branch, I-cache and memory components.
+	stB, stC, stD := res[nw], res[nw+1], res[nw+2]
 	p.BrCPI = clampNonNeg(stB.cpi - cpiA)
 	p.BrMPKU = stB.mispredicts * 1000
-
-	// Real I-cache.
-	stC, err := s.runOnce(spec, cc, cpu.Ideal{DCache: true})
-	if err != nil {
-		return nil, err
-	}
 	p.L1ICPI = clampNonNeg(stC.cpi - stB.cpi)
-
-	// Real data hierarchy.
-	stD, err := s.runOnce(spec, cc, cpu.Ideal{})
-	if err != nil {
-		return nil, err
-	}
 	memCPI := clampNonNeg(stD.cpi - stC.cpi)
 	p.BaselineMemCPI = memCPI
 	p.WritebackFraction = stD.wbFraction
 
 	// Calibrate the visible-latency fraction so that Evaluate reproduces the
 	// measured memory CPI at the baseline configuration.
-	base := baselineShares(cc)
-	rawMem := rawMemCost(p, cc, fullWindow(cc), base)
+	rawMem := rawMemCost(p, cc, fullWindow(cc), baselineShares(cc))
 	p.Visible = 1
 	p.VisibleWindow = fullWindow(cc)
 	if rawMem > 1e-9 {
@@ -324,18 +382,13 @@ func (s *Source) measure(ctx context.Context, spec trace.Spec, ct config.CoreTyp
 		p.MemConstCPI = memCPI - rawMem
 	}
 
-	// For out-of-order cores, repeat the real-hierarchy run at the smallest
-	// SMT partition: the shrunken window holds fewer outstanding misses, so
-	// more of the latency becomes visible. The interval model interpolates
-	// between the two calibration points.
-	if cc.OutOfOrder && cc.SMTContexts > 1 {
+	// For out-of-order cores, the real-hierarchy run is repeated at the
+	// smallest SMT partition (Dmin): the shrunken window holds fewer
+	// outstanding misses, so more of the latency becomes visible. The
+	// interval model interpolates between the two calibration points.
+	if len(res) > nw+3 {
+		stDmin := res[nw+3]
 		wmin := interval.Partition(cc, cc.SMTContexts)
-		wcc := cc
-		wcc.ROBSize = wmin
-		stDmin, err := s.runOnce(spec, wcc, cpu.Ideal{})
-		if err != nil {
-			return nil, err
-		}
 		memCPImin := clampNonNeg(stDmin.cpi - p.BaseCPI(wmin) - p.BrCPI - p.L1ICPI - p.MemConstCPI)
 		p.VisibleMinWindow = wmin
 		p.VisibleMin = p.Visible

@@ -68,12 +68,13 @@ func runIndexed(ctx context.Context, workers, n int, queue *obs.Histogram, fn fu
 	}
 	prog := progressFrom(ctx)
 	enqueued := time.Now()
+	var failed atomic.Bool
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := safeCall(ctx, enqueued, queue, i, fn); err != nil {
+			if err := safeCall(ctx, enqueued, queue, i, fn, &failed); err != nil {
 				return err
 			}
 			if prog != nil {
@@ -86,7 +87,6 @@ func runIndexed(ctx context.Context, workers, n int, queue *obs.Histogram, fn fu
 	var (
 		next     atomic.Int64
 		done     atomic.Int64
-		failed   atomic.Bool
 		mu       sync.Mutex
 		firstIdx = n
 		firstErr error
@@ -115,7 +115,7 @@ func runIndexed(ctx context.Context, workers, n int, queue *obs.Histogram, fn fu
 					record(i, err)
 					return
 				}
-				if err := safeCall(ctx, enqueued, queue, i, fn); err != nil {
+				if err := safeCall(ctx, enqueued, queue, i, fn, &failed); err != nil {
 					record(i, err)
 					return
 				}
@@ -132,8 +132,9 @@ func runIndexed(ctx context.Context, workers, n int, queue *obs.Histogram, fn fu
 // safeCall runs fn(ctx, i) under a "pool.task" span, with the worker
 // fault-injection site applied and any panic converted into an error
 // wrapping ErrWorkerPanic, so both the serial and the parallel engine
-// contain evaluation panics identically.
-func safeCall(ctx context.Context, enqueued time.Time, queue *obs.Histogram, i int, fn func(ctx context.Context, i int) error) (err error) {
+// contain evaluation panics identically. A panic sets failed before its
+// stack is formatted, so a parallel pool stops handing out indices at once.
+func safeCall(ctx context.Context, enqueued time.Time, queue *obs.Histogram, i int, fn func(ctx context.Context, i int) error, failed *atomic.Bool) (err error) {
 	wait := time.Since(enqueued)
 	queue.Observe(wait.Seconds())
 	ctx, sp := obs.StartSpan(ctx, "pool.task")
@@ -142,6 +143,7 @@ func safeCall(ctx context.Context, enqueued time.Time, queue *obs.Histogram, i i
 	defer sp.End()
 	defer func() {
 		if r := recover(); r != nil {
+			failed.Store(true)
 			err = fmt.Errorf("%w: task %d: %v\n%s", ErrWorkerPanic, i, r, debug.Stack())
 		}
 	}()

@@ -192,9 +192,6 @@ func NewGenerator(spec Spec, seed uint64) (*Generator, error) {
 	return g, nil
 }
 
-// Spec returns the generator's benchmark specification.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // Count returns the number of µops generated since the last Reset.
 func (g *Generator) Count() uint64 { return g.count }
 
@@ -361,10 +358,6 @@ func OffsetAddresses(g *Generator, offset uint64) Reader {
 type Reader interface {
 	// Next returns the next µop.
 	Next() isa.Uop
-	// Reset restarts the stream.
-	Reset()
-	// Count reports µops produced since the last Reset.
-	Count() uint64
 }
 
 type offsetReader struct {
@@ -380,9 +373,3 @@ func (r *offsetReader) Next() isa.Uop {
 	}
 	return u
 }
-
-// Reset implements Reader.
-func (r *offsetReader) Reset() { r.g.Reset() }
-
-// Count implements Reader.
-func (r *offsetReader) Count() uint64 { return r.g.Count() }

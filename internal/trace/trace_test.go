@@ -256,10 +256,6 @@ func TestOffsetAddresses(t *testing.T) {
 			t.Fatalf("non-mem address changed")
 		}
 	}
-	r.Reset()
-	if r.Count() != 0 {
-		t.Fatal("offset reader reset failed")
-	}
 }
 
 func TestGeneratorCount(t *testing.T) {
