@@ -297,6 +297,39 @@ func BenchmarkContentionSolveReused(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepCell measures one sweep cell — placement, contention solve
+// and metrics for one (design, mix) — on warm profiles: every nine-design
+// point with SMT crossed with one heterogeneous mix at 2, 6, 12 and 24
+// threads, one cell per op. ns/cell is the per-cell wall time.
+func BenchmarkSweepCell(b *testing.B) {
+	st := study.New(sweepSource())
+	type cell struct {
+		d   config.Design
+		mix workload.Mix
+	}
+	var grid []cell
+	for _, d := range config.NineDesigns(true) {
+		for _, n := range []int{2, 6, 12, 24} {
+			grid = append(grid, cell{d, workload.HeterogeneousMixes(n, 1, 7)[0]})
+		}
+	}
+	// Warm the solo-rate cache and the solver pool outside the timed region.
+	for _, c := range grid {
+		if _, err := st.EvaluateMix(c.d, c.mix); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := grid[i%len(grid)]
+		if _, err := st.EvaluateMix(c.d, c.mix); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cell")
+}
+
 // BenchmarkSchedulerPlace measures offline schedule construction.
 func BenchmarkSchedulerPlace(b *testing.B) {
 	src := profiler.NewSource(60_000)
@@ -309,6 +342,7 @@ func BenchmarkSchedulerPlace(b *testing.B) {
 	if _, err := sched.Place(d, mix, src); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sched.Place(d, mix, src); err != nil {

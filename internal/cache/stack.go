@@ -191,9 +191,17 @@ func (c MissCurve) At(capacityBlocks float64) float64 {
 	if capacityBlocks >= float64(c.Capacities[n-1]) {
 		return c.Ratios[n-1]
 	}
-	i := sort.Search(n, func(j int) bool { return float64(c.Capacities[j]) >= capacityBlocks })
-	if i == 0 {
-		return c.Ratios[0]
+	// Binary search for the first capacity >= capacityBlocks, written out
+	// because sort.Search's closure call showed in solver profiles. The
+	// clamps above guarantee 0 < i < n.
+	i, j := 0, n
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if float64(c.Capacities[h]) < capacityBlocks {
+			i = h + 1
+		} else {
+			j = h
+		}
 	}
 	// c.Capacities[i-1] < capacityBlocks <= c.Capacities[i]
 	lo, hi := float64(c.Capacities[i-1]), float64(c.Capacities[i])

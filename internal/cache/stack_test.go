@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -234,6 +236,72 @@ func TestMissCurveAt(t *testing.T) {
 		got := c.At(tc.cap)
 		if diff := got - tc.want; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("At(%g) = %g, want %g", tc.cap, got, tc.want)
+		}
+	}
+}
+
+// referenceAt is MissCurve.At as written with sort.Search: the oracle the
+// closure-free binary search must match bit for bit.
+func referenceAt(c MissCurve, capacityBlocks float64) float64 {
+	n := len(c.Capacities)
+	if n == 0 {
+		return 0
+	}
+	if math.IsNaN(capacityBlocks) {
+		return math.NaN()
+	}
+	if capacityBlocks <= float64(c.Capacities[0]) {
+		return c.Ratios[0]
+	}
+	if capacityBlocks >= float64(c.Capacities[n-1]) {
+		return c.Ratios[n-1]
+	}
+	i := sort.Search(n, func(j int) bool { return float64(c.Capacities[j]) >= capacityBlocks })
+	if i == 0 {
+		return c.Ratios[0]
+	}
+	lo, hi := float64(c.Capacities[i-1]), float64(c.Capacities[i])
+	f := (capacityBlocks - lo) / (hi - lo)
+	return c.Ratios[i-1] + f*(c.Ratios[i]-c.Ratios[i-1])
+}
+
+// TestMissCurveAtMatchesReference: on random ascending curves of 0 to 40
+// points, At is bitwise equal to referenceAt at every sampled capacity,
+// between neighbours, below and above the range, and at NaN and ±Inf.
+func TestMissCurveAtMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := trial % 41
+		c := MissCurve{Capacities: make([]int, n), Ratios: make([]float64, n)}
+		capacity, ratio := rng.Intn(64), 1.0
+		for i := 0; i < n; i++ {
+			capacity += 1 + rng.Intn(1<<uint(rng.Intn(16)))
+			// Steep drops matter: a + (b-a) rounds away from b only when
+			// the neighbours differ by more than a factor of two.
+			ratio *= rng.Float64()
+			c.Capacities[i], c.Ratios[i] = capacity, ratio
+		}
+		if !c.Valid() {
+			t.Fatalf("trial %d: generated an invalid curve %+v", trial, c)
+		}
+		queries := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1}
+		for i, cp := range c.Capacities {
+			x := float64(cp)
+			queries = append(queries, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+			if i+1 < n {
+				next := float64(c.Capacities[i+1])
+				queries = append(queries, (x+next)/2, x+rng.Float64()*(next-x))
+			}
+		}
+		if n > 0 {
+			first, last := float64(c.Capacities[0]), float64(c.Capacities[n-1])
+			queries = append(queries, first-1-rng.Float64()*first, last+1+rng.Float64()*last)
+		}
+		for _, q := range queries {
+			got, want := c.At(q), referenceAt(c, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: At(%v) = %v, reference %v on %+v", trial, q, got, want, c)
+			}
 		}
 	}
 }

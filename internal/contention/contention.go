@@ -179,7 +179,7 @@ func publishMachStats(p Placement, res Result) {
 // pipeline and the per-thread time share. Without SMT, one thread runs at a
 // time; with SMT, up to SMTContexts run concurrently and any excess
 // time-shares the contexts.
-func smtOccupancy(cc config.Core, smtEnabled bool, nThreads int) (coRunners int, timeShare float64) {
+func smtOccupancy(cc *config.Core, smtEnabled bool, nThreads int) (coRunners int, timeShare float64) {
 	if !smtEnabled {
 		return 1, 1 / float64(nThreads)
 	}
@@ -204,7 +204,21 @@ func relChange(old, new float64) float64 {
 	if old == new {
 		return 0
 	}
-	return math.Abs(new-old) / math.Max(math.Abs(old), math.Abs(new))
+	return math.Abs(new-old) / fmax(math.Abs(old), math.Abs(new))
+}
+
+// fmax returns math.Max(x, y). Ordered operands are decided by one inline
+// comparison; ties and NaNs fall through to math.Max, so its special cases
+// (±0, NaN, +Inf) apply unchanged. The solver calls it several times per
+// thread per iteration, where math.Max's out-of-line call showed in profiles.
+func fmax(x, y float64) float64 {
+	if x > y {
+		return x
+	}
+	if y > x {
+		return y
+	}
+	return math.Max(x, y)
 }
 
 // finiteState reports whether the scalar and every slice element are finite.

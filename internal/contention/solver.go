@@ -35,6 +35,9 @@ type Solver struct {
 	weights []float64
 	// cacheW, ipcs and timeShare are the per-core inner-loop buffers.
 	cacheW, ipcs, timeShare []float64
+	// terms holds each thread's core-fixed CPI terms, computed once per
+	// solve (its core, partition and I-cache share never change).
+	terms []interval.CoreTerms
 	// threads and coreUtil back the returned Result.
 	threads  []ThreadResult
 	coreUtil []float64
@@ -111,6 +114,10 @@ func (s *Solver) prepare(n, nCores int) {
 	s.prevL1D = scratchF(s.prevL1D, n)
 	s.prevL2 = scratchF(s.prevL2, n)
 	s.weights = scratchF(s.weights, n)
+	if cap(s.terms) < n {
+		s.terms = make([]interval.CoreTerms, n)
+	}
+	s.terms = s.terms[:n]
 	if cap(s.threads) < n {
 		s.threads = make([]ThreadResult, n)
 	}
@@ -150,13 +157,30 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 	// State: absolute rates (µops/ns), initialized optimistically.
 	rate := s.rate
 	for i := range rate {
-		cc := p.Design.Cores[p.CoreOf[i]]
+		cc := &p.Design.Cores[p.CoreOf[i]]
 		rate[i] = float64(cc.Width) * cc.FrequencyGHz / 2
 	}
 	llcShare := s.llcShare
 	l1dShare := s.l1dShare
 	l2Share := s.l2Share
 	l1iShare := s.l1iShare
+
+	// I-cache shares depend only on which benchmarks share a core, so they
+	// and the core-fixed CPI terms (partition, base CPI, visible fraction,
+	// I-cache CPI) are computed once, not every iteration.
+	terms := s.terms
+	for c, ths := range group {
+		if len(ths) == 0 {
+			continue
+		}
+		cc := &p.Design.Cores[c]
+		s.shareICache(&p, ths, cc, l1iShare)
+		coRunners, _ := smtOccupancy(cc, p.Design.SMTEnabled, len(ths))
+		part := interval.Partition(*cc, coRunners)
+		for _, ti := range ths {
+			terms[ti] = p.Profiles[ti].CoreTerms(cc, part, l1iShare[ti])
+		}
+	}
 
 	llcBytes := float64(p.Design.LLC.SizeBytes)
 	memLatNs := m.memLatency(0, p.Design.MemBandwidthGBps)
@@ -181,14 +205,13 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 
 		// --- Private cache shares within each core (allocation-weighted) ---
 		for c, ths := range group {
-			cc := p.Design.Cores[c]
-			s.shareCaches(p, ths, rate, cc, l1iShare, l1dShare, l2Share, llcShare, memLatNs, f)
+			s.shareCaches(&p, ths, rate, &p.Design.Cores[c], l1dShare, l2Share, f)
 		}
 
 		// --- LLC shares across all threads (allocation-weighted) ---
 		var wsum float64
 		for i := range weights {
-			cc := p.Design.Cores[p.CoreOf[i]]
+			cc := &p.Design.Cores[p.CoreOf[i]]
 			sh := interval.Shares{L1I: l1iShare[i], L1D: l1dShare[i], L2: l2Share[i], LLC: llcShare[i], MemLatencyCycles: memLatNs * cc.FrequencyGHz}
 			weights[i] = p.Profiles[i].LLCAccessesPerUop(sh) * rate[i]
 			wsum += weights[i]
@@ -204,7 +227,7 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 			default:
 				frac = 1 / float64(n)
 			}
-			frac = math.Max(frac, floor)
+			frac = fmax(frac, floor)
 			llcShare[i] = damp(llcShare[i], frac*llcBytes, f)
 		}
 		normalizeShares(llcShare, llcBytes)
@@ -212,7 +235,7 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 		// --- Memory traffic and latency (fills plus writebacks) ---
 		var traffic float64 // blocks per ns
 		for i := range rate {
-			cc := p.Design.Cores[p.CoreOf[i]]
+			cc := &p.Design.Cores[p.CoreOf[i]]
 			sh := interval.Shares{L1I: l1iShare[i], L1D: l1dShare[i], L2: l2Share[i], LLC: llcShare[i], MemLatencyCycles: memLatNs * cc.FrequencyGHz}
 			traffic += p.Profiles[i].DRAMAccessesPerUop(sh) * (1 + p.Profiles[i].WritebackFraction) * rate[i]
 		}
@@ -224,18 +247,17 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 			if len(ths) == 0 {
 				continue
 			}
-			cc := p.Design.Cores[c]
+			cc := &p.Design.Cores[c]
 			ipcs := scratchF(s.ipcs, len(ths))
 			timeShare := scratchF(s.timeShare, len(ths))
 			s.ipcs, s.timeShare = ipcs, timeShare
 			coRunners, tshare := smtOccupancy(cc, p.Design.SMTEnabled, len(ths))
-			part := interval.Partition(cc, coRunners)
 			for k, ti := range ths {
 				sh := interval.Shares{
 					L1I: l1iShare[ti], L1D: l1dShare[ti], L2: l2Share[ti], LLC: llcShare[ti],
 					MemLatencyCycles: memLatNs * cc.FrequencyGHz,
 				}
-				st := p.Profiles[ti].Evaluate(cc, part, sh)
+				st := p.Profiles[ti].EvaluateData(cc, terms[ti], sh)
 				res.Threads[ti].Stack = st
 				res.Threads[ti].Shares = sh
 				ipcs[k] = 1 / st.Total()
@@ -254,10 +276,10 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 		// --- Convergence diagnostics over all damped state ---
 		residual := relChange(prevMemLat, memLatNs)
 		for i := 0; i < n; i++ {
-			residual = math.Max(residual, relChange(prevRate[i], rate[i]))
-			residual = math.Max(residual, relChange(prevLLC[i], llcShare[i]))
-			residual = math.Max(residual, relChange(prevL1D[i], l1dShare[i]))
-			residual = math.Max(residual, relChange(prevL2[i], l2Share[i]))
+			residual = fmax(residual, relChange(prevRate[i], rate[i]))
+			residual = fmax(residual, relChange(prevLLC[i], llcShare[i]))
+			residual = fmax(residual, relChange(prevL1D[i], l1dShare[i]))
+			residual = fmax(residual, relChange(prevL2[i], l2Share[i]))
 		}
 		res.Diag.Iterations = iter + 1
 		res.Diag.Residual = residual
@@ -280,7 +302,7 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 	// Finalize.
 	var traffic float64
 	for i := range res.Threads {
-		cc := p.Design.Cores[p.CoreOf[i]]
+		cc := &p.Design.Cores[p.CoreOf[i]]
 		res.Threads[i].UopsPerNs = rate[i]
 		res.CoreUtilization[p.CoreOf[i]] += res.Threads[i].IPC * res.Threads[i].TimeShare / float64(cc.Width)
 		traffic += p.Profiles[i].DRAMAccessesPerUop(res.Threads[i].Shares) * (1 + p.Profiles[i].WritebackFraction) * rate[i]
@@ -291,24 +313,20 @@ func (s *Solver) SolveModel(p Placement, m Model) (Result, error) {
 	return res, nil
 }
 
-// shareCaches distributes the core-private cache capacities among the
+// shareCaches distributes the core-private data cache capacities among the
 // threads on one core, weighted by each thread's allocation rate into the
 // cache (misses per ns), with a floor so no thread is starved to zero.
 // Without SMT each time-shared thread uses the full capacity during its
 // slice.
-func (s *Solver) shareCaches(p Placement, ths []int, rate []float64, cc config.Core,
-	l1iShare, l1dShare, l2Share, llcShare []float64, memLatNs, f float64) {
+func (s *Solver) shareCaches(p *Placement, ths []int, rate []float64, cc *config.Core,
+	l1dShare, l2Share []float64, f float64) {
 	if len(ths) == 0 {
 		return
 	}
-	full := func(ti int) {
-		l1iShare[ti] = float64(cc.L1I.SizeBytes)
-		l1dShare[ti] = float64(cc.L1D.SizeBytes)
-		l2Share[ti] = float64(cc.L2.SizeBytes)
-	}
 	if !p.Design.SMTEnabled || len(ths) == 1 {
 		for _, ti := range ths {
-			full(ti)
+			l1dShare[ti] = float64(cc.L1D.SizeBytes)
+			l2Share[ti] = float64(cc.L2.SizeBytes)
 		}
 		return
 	}
@@ -319,13 +337,11 @@ func (s *Solver) shareCaches(p Placement, ths []int, rate []float64, cc config.C
 	s.cacheW = w
 	var sum float64
 	for k, ti := range ths {
-		sh := interval.Shares{L1I: l1iShare[ti], L1D: l1dShare[ti], L2: l2Share[ti], LLC: llcShare[ti], MemLatencyCycles: memLatNs * cc.FrequencyGHz}
-		if sh.L1D == 0 { // first iteration: seed with equal split
-			sh.L1D = float64(cc.L1D.SizeBytes) / float64(n)
-			sh.L2 = float64(cc.L2.SizeBytes) / float64(n)
-			sh.LLC = 1 << 20
+		l1d := l1dShare[ti]
+		if l1d == 0 { // first iteration: seed with equal split
+			l1d = float64(cc.L1D.SizeBytes) / float64(n)
 		}
-		miss := p.Profiles[ti].DCurve.At(sh.L1D / 64)
+		miss := p.Profiles[ti].DCurve.At(l1d / 64)
 		w[k] = p.Profiles[ti].DataAPKU / 1000 * miss * rate[ti]
 		sum += w[k]
 	}
@@ -337,16 +353,26 @@ func (s *Solver) shareCaches(p Placement, ths []int, rate []float64, cc config.C
 		} else {
 			frac = 1 / float64(n)
 		}
-		frac = math.Max(frac, floor)
+		frac = fmax(frac, floor)
 		l1dShare[ti] = damp(l1dShare[ti], frac*float64(cc.L1D.SizeBytes), f)
 		l2Share[ti] = damp(l2Share[ti], frac*float64(cc.L2.SizeBytes), f)
 	}
 	normalizeSlice(l1dShare, ths, float64(cc.L1D.SizeBytes))
 	normalizeSlice(l2Share, ths, float64(cc.L2.SizeBytes))
+}
 
-	// The I-cache is shared by *code*, not by thread: co-runners executing
-	// the same benchmark fetch the same instructions, so the capacity splits
-	// across distinct benchmarks, not across threads.
+// shareICache sets the I-cache share of the threads on one core. The I-cache
+// is shared by *code*, not by thread: co-runners executing the same benchmark
+// fetch the same instructions, so with SMT the capacity splits across
+// distinct benchmarks, not across threads. Without SMT, or alone on the core,
+// each thread uses the full capacity.
+func (s *Solver) shareICache(p *Placement, ths []int, cc *config.Core, l1iShare []float64) {
+	if !p.Design.SMTEnabled || len(ths) == 1 {
+		for _, ti := range ths {
+			l1iShare[ti] = float64(cc.L1I.SizeBytes)
+		}
+		return
+	}
 	if s.distinct == nil {
 		s.distinct = make(map[string]bool)
 	}

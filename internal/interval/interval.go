@@ -192,27 +192,50 @@ func (p *Profile) VisibleAt(w int) float64 {
 	return p.VisibleMin + f*(p.Visible-p.VisibleMin)
 }
 
+// CoreTerms are the parts of a CPI stack that depend only on the core, the
+// ROB partition and the I-cache share: the base and branch CPI, the I-cache
+// CPI and the visible-latency fraction. A contention solve fixes all three
+// inputs per thread, so it computes these once and re-evaluates only the
+// data side as the shares move.
+type CoreTerms struct {
+	Base, Branch, ICache float64
+	// Visible is VisibleAt at the partition.
+	Visible float64
+}
+
+// CoreTerms computes the core-fixed terms on core cc with ROB partition
+// window w and an I-cache share of l1iBytes.
+func (p *Profile) CoreTerms(cc *config.Core, w int, l1iBytes float64) CoreTerms {
+	t := CoreTerms{Base: p.BaseCPI(w), Branch: p.BrCPI, Visible: p.VisibleAt(w)}
+
+	// I-cache: rescale the measured baseline contribution by the miss-count
+	// ratio at the thread's I-cache share.
+	baseIMiss := p.ICurve.At(blocks(float64(cc.L1I.SizeBytes)))
+	curIMiss := p.ICurve.At(blocks(l1iBytes))
+	if baseIMiss > 1e-12 {
+		t.ICache = p.L1ICPI * (curIMiss / baseIMiss)
+	} else if curIMiss > 1e-12 {
+		// The baseline had essentially no I-misses; charge raw latency.
+		t.ICache = t.Visible * p.IBlockAPKU / 1000 * curIMiss * float64(cc.L2.LatencyCycles)
+	}
+	return t
+}
+
 // Evaluate predicts the thread's CPI stack on core cc with ROB partition
 // window w and the given shares. The hierarchy is modelled as capacity
 // thresholds on the data reuse curve: accesses missing in the L1D share go
 // to the L2, those missing in L1D+L2 go to the LLC, and those missing in
 // L1D+L2+LLC go to DRAM.
 func (p *Profile) Evaluate(cc config.Core, w int, sh Shares) CPIStack {
-	var st CPIStack
-	st.Base = p.BaseCPI(w)
-	st.Branch = p.BrCPI
-	v := p.VisibleAt(w)
+	return p.EvaluateData(&cc, p.CoreTerms(&cc, w, sh.L1I), sh)
+}
 
-	// I-cache: rescale the measured baseline contribution by the miss-count
-	// ratio at the thread's I-cache share.
-	baseIMiss := p.ICurve.At(blocks(float64(cc.L1I.SizeBytes)))
-	curIMiss := p.ICurve.At(blocks(sh.L1I))
-	if baseIMiss > 1e-12 {
-		st.ICache = p.L1ICPI * (curIMiss / baseIMiss)
-	} else if curIMiss > 1e-12 {
-		// The baseline had essentially no I-misses; charge raw latency.
-		st.ICache = v * p.IBlockAPKU / 1000 * curIMiss * float64(cc.L2.LatencyCycles)
-	}
+// EvaluateData completes the CPI stack from precomputed core terms t and the
+// thread's data-side shares; sh.L1I is not read (t already accounts for it).
+// Evaluate is EvaluateData after CoreTerms, so both give identical stacks.
+func (p *Profile) EvaluateData(cc *config.Core, t CoreTerms, sh Shares) CPIStack {
+	st := CPIStack{Base: t.Base, Branch: t.Branch, ICache: t.ICache}
+	v := t.Visible
 
 	apu := p.DataAPKU / 1000
 	mL1 := p.DCurve.At(blocks(sh.L1D))

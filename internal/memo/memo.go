@@ -315,6 +315,10 @@ func (c *Cache[K, V]) GetCtx(ctx context.Context, key K, compute func(context.Co
 				cancel()
 				c.mu.Lock()
 				e.val, e.err = val, err
+				// The cancel func pins the compute's context, and through it
+				// the leader's trace with every span the compute recorded;
+				// a completed entry must not keep that alive.
+				e.cancel = nil
 				if err != nil {
 					if cur, ok := c.m[key]; ok && cur == e {
 						delete(c.m, key)
@@ -341,9 +345,10 @@ func (c *Cache[K, V]) GetCtx(ctx context.Context, key K, compute func(context.Co
 			c.mu.Lock()
 			e.waiters--
 			abandoned := e.waiters == 0
+			cancel := e.cancel
 			c.mu.Unlock()
-			if abandoned && e.cancel != nil {
-				e.cancel()
+			if abandoned && cancel != nil {
+				cancel()
 			}
 			sp.SetAttr("error", ctx.Err().Error())
 			sp.End()

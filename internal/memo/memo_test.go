@@ -227,6 +227,26 @@ func TestGetCtxSurvivingWaiterKeepsCompute(t *testing.T) {
 	}
 }
 
+// TestGetCtxCompletedEntryDropsContext: a completed entry must not hold the
+// compute's cancel func. That func pins the compute's context, which carries
+// the leader's trace, so every cached sweep would keep all of its spans alive
+// for as long as it stays cached.
+func TestGetCtxCompletedEntryDropsContext(t *testing.T) {
+	var c Cache[string, int]
+	if _, err := c.GetCtx(context.Background(), "k", func(context.Context) (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m["k"]
+	if !ok {
+		t.Fatal("completed entry not cached")
+	}
+	if e.cancel != nil {
+		t.Error("completed entry still holds its compute's cancel func")
+	}
+}
+
 func TestBoundEvictsLRU(t *testing.T) {
 	var c Cache[int, int]
 	c.Bound(3)

@@ -237,3 +237,43 @@ func TestFleetCategoryOf(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTraceparent: the traceparent header arrives from other
+// processes, so ParseTraceparent must accept only pairs of valid IDs, and a
+// valid pair must survive FormatTraceparent and ParseTraceparent unchanged.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("t-1a2b3c;s4")                    // valid
+	f.Add("t-1a2b3c.g1;s0.s2")              // valid, grafted IDs
+	f.Add("t-1a2b3c")                       // missing ';'
+	f.Add("  t-1a2b3c;s4\n")                // surrounding whitespace
+	f.Add("t-1a2b3c; s4")                   // inner whitespace
+	f.Add(strings.Repeat("a", 65) + ";s4")  // over-long trace ID
+	f.Add("t-1;" + strings.Repeat("b", 64)) // longest span ID
+	f.Add("t/1;s4")                         // bad character
+	f.Add("t-1;s4;s5")                      // second separator
+	f.Add(";")                              // empty halves
+	f.Add("t-\xff;s4")                      // invalid UTF-8
+
+	f.Fuzz(func(t *testing.T, v string) {
+		tid, sid, ok := ParseTraceparent(v)
+		if !ok {
+			if tid != "" || sid != "" {
+				t.Fatalf("ParseTraceparent(%q) rejected but returned (%q, %q)", v, tid, sid)
+			}
+		} else if !ValidPropagationID(tid) || !ValidPropagationID(sid) {
+			t.Fatalf("ParseTraceparent(%q) accepted invalid IDs (%q, %q)", v, tid, sid)
+		}
+
+		// Any valid pair round-trips; split the input to get candidates.
+		for _, pair := range [][2]string{{tid, sid}, {v[:len(v)/2], v[len(v)/2:]}} {
+			if !ValidPropagationID(pair[0]) || !ValidPropagationID(pair[1]) {
+				continue
+			}
+			wire := FormatTraceparent(pair[0], pair[1])
+			gtid, gsid, gok := ParseTraceparent(wire)
+			if !gok || gtid != pair[0] || gsid != pair[1] {
+				t.Fatalf("round trip of (%q, %q) via %q = (%q, %q, %t)", pair[0], pair[1], wire, gtid, gsid, gok)
+			}
+		}
+	})
+}

@@ -8,6 +8,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"smtflex/internal/config"
@@ -62,7 +63,7 @@ func PlaceCtx(ctx context.Context, d config.Design, mix workload.Mix, src Profil
 
 // soloIPC estimates a thread's isolated IPC on core cc with a full window
 // and uncontended memory — the "offline analysis" signal.
-func soloIPC(p *interval.Profile, cc config.Core) float64 {
+func soloIPC(p *interval.Profile, cc *config.Core) float64 {
 	sh := interval.Shares{
 		L1I: float64(cc.L1I.SizeBytes),
 		L1D: float64(cc.L1D.SizeBytes),
@@ -75,7 +76,52 @@ func soloIPC(p *interval.Profile, cc config.Core) float64 {
 	if !cc.OutOfOrder {
 		w = 2 * cc.Width
 	}
-	return 1 / p.Evaluate(cc, w, sh).Total()
+	return 1 / p.EvaluateData(cc, p.CoreTerms(cc, w, sh.L1I), sh).Total()
+}
+
+// byType holds one value per core type, indexed by config.CoreType.
+type byType[T any] [config.NumCoreTypes]T
+
+// coreTypes returns, per core type, the first core of that type in the
+// design, or nil when the design has none.
+func coreTypes(d *config.Design) byType[*config.Core] {
+	var cfg byType[*config.Core]
+	for c := range d.Cores {
+		if cc := &d.Cores[c]; cfg[cc.Type] == nil {
+			cfg[cc.Type] = cc
+		}
+	}
+	return cfg
+}
+
+// profilesByType resolves each thread's profile for every core type present
+// in the design, fetching in ascending core-type order. Threads running the
+// same benchmark share its profiles, so each distinct program is looked up
+// once.
+func profilesByType(d *config.Design, mix workload.Mix, src ProfileSource) ([]byType[*interval.Profile], error) {
+	types := coreTypes(d)
+	out := make([]byType[*interval.Profile], mix.NumThreads())
+	for i, name := range mix.Programs {
+		if j := slices.Index(mix.Programs[:i], name); j >= 0 {
+			out[i] = out[j]
+			continue
+		}
+		spec, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		for t, cc := range types {
+			if cc == nil {
+				continue
+			}
+			p, err := src.Profile(spec, config.CoreType(t))
+			if err != nil {
+				return nil, fmt.Errorf("sched: profiling %s on %s: %w", spec.Name, config.CoreType(t), err)
+			}
+			out[i][t] = p
+		}
+	}
+	return out, nil
 }
 
 // Place builds a contention.Placement for the mix on the design.
@@ -95,43 +141,20 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 		return contention.Placement{}, fmt.Errorf("sched: empty mix %s", mix.ID)
 	}
 
-	// Resolve specs and profiles per core type present in the design.
-	specs := make([]trace.Spec, n)
-	for i, name := range mix.Programs {
-		s, err := workload.ByName(name)
-		if err != nil {
-			return contention.Placement{}, err
-		}
-		specs[i] = s
-	}
-	types := map[config.CoreType]bool{}
-	for _, cc := range d.Cores {
-		types[cc.Type] = true
-	}
-	prof := make([]map[config.CoreType]*interval.Profile, n)
-	for i := range prof {
-		prof[i] = make(map[config.CoreType]*interval.Profile)
-		for t := range types {
-			p, err := src.Profile(specs[i], t)
-			if err != nil {
-				return contention.Placement{}, fmt.Errorf("sched: profiling %s on %s: %w", specs[i].Name, t, err)
-			}
-			prof[i][t] = p
-		}
+	// Resolve profiles per core type present in the design.
+	prof, err := profilesByType(&d, mix, src)
+	if err != nil {
+		return contention.Placement{}, err
 	}
 
-	// Offline signal: solo IPC of each thread on each core of the design.
-	ipcOn := make([]map[config.CoreType]float64, n)
-	typeCfg := map[config.CoreType]config.Core{}
-	for _, cc := range d.Cores {
-		if _, ok := typeCfg[cc.Type]; !ok {
-			typeCfg[cc.Type] = cc
-		}
-	}
+	// Offline signal: solo IPC of each thread on each core type of the design.
+	typeCfg := coreTypes(&d)
+	ipcOn := make([]byType[float64], n)
 	for i := range ipcOn {
-		ipcOn[i] = make(map[config.CoreType]float64)
 		for t, cc := range typeCfg {
-			ipcOn[i][t] = soloIPC(prof[i][t], cc)
+			if cc != nil {
+				ipcOn[i][t] = soloIPC(prof[i][t], cc)
+			}
 		}
 	}
 
@@ -144,15 +167,15 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 	// Phase 1: one thread per core, big cores first. Order threads by how
 	// much they gain from the biggest core type relative to the smallest
 	// present, so big-core-sensitive threads land on big cores.
-	smallest := d.Cores[len(d.Cores)-1].Type
+	biggest, smallest := d.Cores[0].Type, d.Cores[len(d.Cores)-1].Type
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		ta, tb := order[a], order[b]
-		ra := ipcOn[ta][d.Cores[0].Type] / ipcOn[ta][smallest]
-		rb := ipcOn[tb][d.Cores[0].Type] / ipcOn[tb][smallest]
+		ra := ipcOn[ta][biggest] / ipcOn[ta][smallest]
+		rb := ipcOn[tb][biggest] / ipcOn[tb][smallest]
 		return ra > rb
 	})
 	phase1 := n
@@ -170,11 +193,12 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 	// time sharing have zero marginal gain everywhere) toward the least
 	// loaded core, i.e. round-robin.
 	const tieBreak = 1e-6
+	est := estimator{smt: d.SMTEnabled, ipcOn: ipcOn, prof: prof}
 	for k := phase1; k < n; k++ {
 		ti := order[k]
 		best, bestGain := -1, 0.0
-		for c := 0; c < len(d.Cores); c++ {
-			gain := marginalGain(d, c, perCore[c], ti, ipcOn, prof) -
+		for c := range d.Cores {
+			gain := est.marginalGain(&d.Cores[c], perCore[c], ti) -
 				tieBreak*float64(len(perCore[c]))
 			if best < 0 || gain > bestGain {
 				best, bestGain = c, gain
@@ -191,39 +215,43 @@ func Place(d config.Design, mix workload.Mix, src ProfileSource) (contention.Pla
 	return contention.Placement{Design: d, CoreOf: coreOf, Profiles: profiles}, nil
 }
 
-// marginalGain projects the change in core throughput (µops per ns) from
-// adding thread ti to core c.
-func marginalGain(d config.Design, c int, residents []int, ti int,
-	ipcOn []map[config.CoreType]float64,
-	prof []map[config.CoreType]*interval.Profile) float64 {
+// estimator projects core throughput for phase 2 of Place from the offline
+// signal. ths and ipcs are scratch reused across projections.
+type estimator struct {
+	smt   bool
+	ipcOn []byType[float64]
+	prof  []byType[*interval.Profile]
+	ths   []int
+	ipcs  []float64
+}
 
-	cc := d.Cores[c]
-	before := coreThroughput(d, cc, residents, nil, ipcOn, prof)
-	after := coreThroughput(d, cc, residents, &ti, ipcOn, prof)
+// marginalGain projects the change in core throughput (µops per ns) from
+// adding thread ti to core cc.
+func (e *estimator) marginalGain(cc *config.Core, residents []int, ti int) float64 {
+	before := e.coreThroughput(cc, residents, -1)
+	after := e.coreThroughput(cc, residents, ti)
 	return after - before
 }
 
 // coreThroughput estimates the summed IPC×timeShare of the residents (plus
-// an optional extra thread) on core cc, accounting for ROB partitioning,
-// width sharing and time sharing.
-func coreThroughput(d config.Design, cc config.Core, residents []int, extra *int,
-	ipcOn []map[config.CoreType]float64,
-	prof []map[config.CoreType]*interval.Profile) float64 {
-
+// thread extra, when it is not negative) on core cc, accounting for ROB
+// partitioning, width sharing and time sharing.
+func (e *estimator) coreThroughput(cc *config.Core, residents []int, extra int) float64 {
 	ths := residents
-	if extra != nil {
-		ths = append(append([]int(nil), residents...), *extra)
+	if extra >= 0 {
+		e.ths = append(append(e.ths[:0], residents...), extra)
+		ths = e.ths
 	}
 	k := len(ths)
 	if k == 0 {
 		return 0
 	}
-	if !d.SMTEnabled {
+	if !e.smt {
 		// Time sharing: the core delivers the average of its threads' solo
 		// throughputs.
 		var sum float64
 		for _, t := range ths {
-			sum += ipcOn[t][cc.Type]
+			sum += e.ipcOn[t][cc.Type]
 		}
 		return sum / float64(k)
 	}
@@ -233,17 +261,21 @@ func coreThroughput(d config.Design, cc config.Core, residents []int, extra *int
 		coRunners = cc.SMTContexts
 		timeShare = float64(cc.SMTContexts) / float64(k)
 	}
-	part := interval.Partition(cc, coRunners)
-	ipcs := make([]float64, k)
+	part := interval.Partition(*cc, coRunners)
+	sh := interval.Shares{
+		L1I:              float64(cc.L1I.SizeBytes) / float64(coRunners),
+		L1D:              float64(cc.L1D.SizeBytes) / float64(coRunners),
+		L2:               float64(cc.L2.SizeBytes) / float64(coRunners),
+		LLC:              float64(config.LLCConfig().SizeBytes) / 8,
+		MemLatencyCycles: 45 * cc.FrequencyGHz * 1.5,
+	}
+	if cap(e.ipcs) < k {
+		e.ipcs = make([]float64, k)
+	}
+	ipcs := e.ipcs[:k]
 	for i, t := range ths {
-		sh := interval.Shares{
-			L1I:              float64(cc.L1I.SizeBytes) / float64(coRunners),
-			L1D:              float64(cc.L1D.SizeBytes) / float64(coRunners),
-			L2:               float64(cc.L2.SizeBytes) / float64(coRunners),
-			LLC:              float64(config.LLCConfig().SizeBytes) / 8,
-			MemLatencyCycles: 45 * cc.FrequencyGHz * 1.5,
-		}
-		ipcs[i] = 1 / prof[t][cc.Type].Evaluate(cc, part, sh).Total()
+		p := e.prof[t][cc.Type]
+		ipcs[i] = 1 / p.EvaluateData(cc, p.CoreTerms(cc, part, sh.L1I), sh).Total()
 	}
 	if coRunners > 1 {
 		interval.ShareWidth(ipcs, cc.Width)

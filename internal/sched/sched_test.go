@@ -236,3 +236,28 @@ func TestPlaceRefinedCustomObjective(t *testing.T) {
 		t.Fatalf("fairness objective %g", score)
 	}
 }
+
+// TestPlaceAllocsBounded pins the allocation count of a warm 24-thread
+// placement on 3B5s, so per-call maps or per-lookup table rebuilds cannot
+// creep back into the placement path. The ceiling is the measured 53 plus
+// headroom.
+func TestPlaceAllocsBounded(t *testing.T) {
+	const ceiling = 64
+	d, err := config.DesignByName("3B5s", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := workload.HeterogeneousMixes(24, 1, 42)[0]
+	if _, err := Place(d, m, source()); err != nil { // warm the profiles
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Place(d, m, source()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per warm 24-thread Place", allocs)
+	if allocs > ceiling {
+		t.Errorf("warm 24-thread Place allocates %.0f times, want at most %d", allocs, ceiling)
+	}
+}

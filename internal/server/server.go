@@ -25,6 +25,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -429,8 +430,10 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 }
 
 // finish serializes the response (or error) under an "http.serialize" span,
-// ends the request's root span, and records metrics and the request log
-// line (every line carries the request ID).
+// ends the request's root span, and only then writes the response, so a
+// client that has read it finds the request's trace already published. It
+// also records metrics and the request log line (every line carries the
+// request ID).
 func (s *Server) finish(w http.ResponseWriter, r *http.Request, ctx context.Context, root *obs.Span, rid, route string, start time.Time, wait time.Duration, res any, err error) {
 	code := http.StatusOK
 	_, ser := obs.StartSpan(ctx, "http.serialize")
@@ -439,16 +442,16 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, ctx context.Cont
 		if kind := failureKind(err); kind != "" {
 			s.met.failure(kind)
 		}
-		writeJSON(w, code, ErrorResponse{Error: err.Error()})
-	} else {
-		writeJSON(w, code, res)
+		res = ErrorResponse{Error: err.Error()}
 	}
+	body := encodeJSON(res)
 	ser.End()
 	root.SetAttr("code", code)
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}
 	root.End()
+	writeBody(w, code, body)
 	dur := time.Since(start)
 	s.met.observe(route, code, dur)
 	attrs := []any{
@@ -466,10 +469,22 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, ctx context.Cont
 // writeJSON renders v with the given status. 499s get no body write beyond
 // headers in practice (the client is gone), but writing is harmless.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	writeBody(w, code, encodeJSON(v))
+}
+
+// encodeJSON renders v as one line of JSON; a value that cannot be encoded
+// yields an empty body.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes()
+}
+
+// writeBody sends an encoded JSON body with the given status.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 // decodeJSON parses a request body strictly: unknown fields are rejected so

@@ -47,9 +47,41 @@ const (
 	mb = 1 << 20
 )
 
+// specs is the benchmark table, sorted by name, and specIndex maps each name
+// to its position. Both are built once; callers only ever see copies.
+var (
+	specs     = buildSpecs()
+	specIndex = indexSpecs(specs)
+)
+
+func indexSpecs(ss []trace.Spec) map[string]int {
+	idx := make(map[string]int, len(ss))
+	for i, s := range ss {
+		idx[s.Name] = i
+	}
+	return idx
+}
+
+// cloneSpec returns s with its Streams slice copied, so a caller that
+// mutates the returned spec cannot change the shared table.
+func cloneSpec(s trace.Spec) trace.Spec {
+	s.Streams = append([]trace.MemStream(nil), s.Streams...)
+	return s
+}
+
 // Benchmarks returns the twelve benchmark specifications, sorted by name.
+// The slice and every spec's Streams are fresh copies.
 func Benchmarks() []trace.Spec {
-	specs := []trace.Spec{
+	out := make([]trace.Spec, len(specs))
+	for i, s := range specs {
+		out[i] = cloneSpec(s)
+	}
+	return out
+}
+
+// buildSpecs constructs the benchmark table sorted by name.
+func buildSpecs() []trace.Spec {
+	table := []trace.Spec{
 		{
 			// High-ILP floating-point compute; scales with core width/window.
 			Name:               "tonto",
@@ -224,26 +256,24 @@ func Benchmarks() []trace.Spec {
 			Seed: 0x0C,
 		},
 	}
-	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
-	return specs
+	sort.Slice(table, func(i, j int) bool { return table[i].Name < table[j].Name })
+	return table
 }
 
-// ByName returns the named benchmark spec.
+// ByName returns the named benchmark spec; its Streams slice is a copy.
 func ByName(name string) (trace.Spec, error) {
-	for _, s := range Benchmarks() {
-		if s.Name == name {
-			return s, nil
-		}
+	i, ok := specIndex[name]
+	if !ok {
+		return trace.Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
 	}
-	return trace.Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
+	return cloneSpec(specs[i]), nil
 }
 
 // Names returns the benchmark names in sorted order.
 func Names() []string {
-	bs := Benchmarks()
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = b.Name
+	out := make([]string, len(specs))
+	for i, s := range specs {
+		out[i] = s.Name
 	}
 	return out
 }

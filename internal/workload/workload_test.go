@@ -183,3 +183,41 @@ func TestReadersUnknownBenchmark(t *testing.T) {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
+
+// TestByNameNoAliasing: specs come from one shared table, so every returned
+// spec must own its Streams. Mutating one must not leak into later lookups.
+func TestByNameNoAliasing(t *testing.T) {
+	want, err := ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantWS := want.Streams[0].WorkingSetBytes
+
+	got, err := ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Streams[0].WorkingSetBytes = 1
+	got.Streams = append(got.Streams, got.Streams...)
+	for _, b := range Benchmarks() {
+		if b.Name == "mcf" {
+			b.Streams[0].WorkingSetBytes = 2
+		}
+	}
+
+	again, err := ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Streams[0].WorkingSetBytes != wantWS || len(again.Streams) != len(want.Streams) {
+		t.Errorf("ByName(mcf) after mutation: streams %+v, want %+v", again.Streams, want.Streams)
+	}
+	for _, b := range Benchmarks() {
+		if b.Name == "mcf" && b.Streams[0].WorkingSetBytes != wantWS {
+			t.Errorf("Benchmarks() mcf after mutation: working set %d, want %d", b.Streams[0].WorkingSetBytes, wantWS)
+		}
+	}
+	if _, err := ByName("doom"); err == nil {
+		t.Error("unknown benchmark accepted")
+	}
+}
