@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -16,36 +14,12 @@ BenchmarkStudySweep-8        	       2	  90000000 ns/op	 5000000 B/op	   40000 a
 PASS
 `
 
-// regressedText is benchText with BenchmarkContentionSolve 10x slower and
-// allocating 100x more — the injected regression the gate must catch.
-const regressedText = `goos: linux
-goarch: amd64
-pkg: smtflex
-BenchmarkContentionSolve-8   	      10	  12000000 ns/op	   12800 B/op	     200 allocs/op
-BenchmarkStudySweep-8        	       2	  90000000 ns/op	 5000000 B/op	   40000 allocs/op
-PASS
-`
-
 // runCLI invokes run() and returns (exit code, stdout, stderr).
 func runCLI(t *testing.T, args []string, stdin string) (int, string, string) {
 	t.Helper()
 	var out, errb bytes.Buffer
 	code := run(args, strings.NewReader(stdin), &out, &errb)
 	return code, out.String(), errb.String()
-}
-
-// convertJSON converts bench text to a JSON file via the CLI itself.
-func convertJSON(t *testing.T, text string) string {
-	t.Helper()
-	code, out, errb := runCLI(t, nil, text)
-	if code != 0 {
-		t.Fatalf("convert exited %d: %s", code, errb)
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 func TestConvertEmptyInputFails(t *testing.T) {
@@ -71,92 +45,9 @@ func TestConvertProducesDocument(t *testing.T) {
 	if !strings.Contains(out, `"BenchmarkContentionSolve"`) || !strings.Contains(out, `"allocs/op": 2`) {
 		t.Errorf("document missing expected results:\n%s", out)
 	}
-}
-
-func TestCompareSelfIsClean(t *testing.T) {
-	base := convertJSON(t, benchText)
-	code, out, _ := runCLI(t, []string{"-compare", base, "-current", base}, "")
-	if code != 0 {
-		t.Fatalf("self-compare exited %d:\n%s", code, out)
-	}
-	if !strings.Contains(out, "no regressions") {
-		t.Errorf("output = %q", out)
-	}
-	// The full delta table prints even on a clean run, with signed deltas.
-	if !strings.Contains(out, "BenchmarkStudySweep") || !strings.Contains(out, "+0.0%") {
-		t.Errorf("clean output missing the per-benchmark delta table:\n%s", out)
-	}
-}
-
-func TestCompareInjectedRegressionFails(t *testing.T) {
-	base := convertJSON(t, benchText)
-	report := filepath.Join(t.TempDir(), "compare.txt")
-	// Current comes in as raw bench text on stdin, as in the CI pipe.
-	code, out, _ := runCLI(t, []string{"-compare", base, "-report", report}, regressedText)
-	if code != 2 {
-		t.Fatalf("injected regression exited %d, want 2:\n%s", code, out)
-	}
-	if !strings.Contains(out, "BenchmarkContentionSolve") || !strings.Contains(out, "allocs/op") {
-		t.Errorf("report does not name the regression:\n%s", out)
-	}
-	// The delta table follows the regression lines, with the signed jump and
-	// the over-threshold flags on the regressed row.
-	if !strings.Contains(out, "+900.0%") || !strings.Contains(out, "allocs/op OVER") {
-		t.Errorf("delta table missing signed deltas or flags:\n%s", out)
-	}
-	saved, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(saved) != out {
-		t.Errorf("-report file differs from stdout:\n%s\nvs\n%s", saved, out)
-	}
-}
-
-func TestCompareThresholdFlags(t *testing.T) {
-	base := convertJSON(t, benchText)
-	cur := convertJSON(t, regressedText)
-	// Thresholds opened wide enough to admit the 10x/100x jump.
-	code, out, _ := runCLI(t, []string{
-		"-compare", base, "-current", cur,
-		"-ns-pct", "2000", "-allocs-pct", "100000", "-allocs-slack", "0",
-	}, "")
-	if code != 0 {
-		t.Fatalf("widened thresholds still exited %d:\n%s", code, out)
-	}
-}
-
-func TestCompareEmptyCurrentFails(t *testing.T) {
-	base := convertJSON(t, benchText)
-	code, _, errb := runCLI(t, []string{"-compare", base}, "PASS\n")
-	if code != 1 {
-		t.Fatalf("empty current exited %d, want 1: %s", code, errb)
-	}
-	if !strings.Contains(errb, "no benchmark results parsed") {
-		t.Errorf("stderr = %q", errb)
-	}
-}
-
-func TestCompareMissingBaselineFileFails(t *testing.T) {
-	code, _, errb := runCLI(t, []string{"-compare", filepath.Join(t.TempDir(), "nope.json")}, benchText)
-	if code != 1 {
-		t.Fatalf("missing baseline exited %d, want 1: %s", code, errb)
-	}
-}
-
-// TestCommittedBaselineIsSelfClean is the acceptance check for the committed
-// gate: the baseline at the repo root must compare clean against itself with
-// the exact thresholds CI uses.
-func TestCommittedBaselineIsSelfClean(t *testing.T) {
-	base := filepath.Join("..", "..", "BENCH_baseline.json")
-	if _, err := os.Stat(base); err != nil {
-		t.Fatalf("committed baseline missing: %v", err)
-	}
-	code, out, errb := runCLI(t, []string{
-		"-compare", base, "-current", base,
-		"-ns-pct", "400", "-allocs-pct", "10", "-allocs-slack", "64", "-min-ns", "1000",
-	}, "")
-	if code != 0 {
-		t.Fatalf("committed baseline vs itself exited %d:\n%s%s", code, out, errb)
+	// Gating moved to perfdiff: a leftover -compare invocation must fail
+	// loudly rather than convert stdin and exit 0.
+	if code, _, _ := runCLI(t, []string{"-compare", "BENCH_baseline.json"}, benchText); code != 1 {
+		t.Errorf("-compare exited %d, want 1", code)
 	}
 }

@@ -1,25 +1,27 @@
 // Command perfdiff attributes the performance difference between two perf
-// snapshots — the differential half of the performance-observability layer.
+// snapshots — the differential half of the performance-observability layer —
+// and is the CI bench gate.
 //
 //	perfdiff baseline.json current.json
+//	perfdiff -report bench-compare.txt BENCH_baseline.json BENCH_$(date +%F).json
 //
 // Each input is a perf snapshot (captured via /debug/perfsnap or a CLI's
 // -perfsnap flag) or a raw benchjson report (the bench job's trajectory
-// documents work unmodified, so a bench-gate failure can be attributed
-// without a conversion step). The output is a ranked report: per-phase
+// documents work unmodified). The output is a ranked report: per-phase
 // self-time deltas, per-component CPI deltas per engine, histogram quantile
-// shifts (p50/p95/p99), and bench ns/allocs deltas when both snapshots embed
-// results — worst first, regressions over threshold flagged OVER.
+// shifts (p50/p95/p99), and the bench table when both sides carry bench
+// results — ns/op and allocs/op per benchmark with signed deltas, benchmarks
+// missing from the current run, and benchmarks new in it. Rows over threshold
+// are ranked first and flagged OVER. Thresholds are
+// perfdiff.DefaultThresholds: the bench rows use the CI gate of
+// benchjson.DefaultThresholds (ns/op up to +400%, allocs/op +10% plus 64,
+// no ns gate under 1µs).
 //
-// Flags tune the noise floors: -phase-pct/-phase-min-ns (engine-phase mean
-// self time per trace), -cpi-pct/-cpi-min (CPI-stack components),
-// -quantile-pct/-quantile-min (histogram quantiles), and the bench gate's
-// -ns-pct/-allocs-pct/-allocs-slack/-min-ns with the same meanings as
-// `benchjson -compare`. -format json emits the report document instead of
-// text; -report FILE also writes the text report for CI artifacts.
+// -format json emits the report document instead of text; -report FILE also
+// writes the text report for CI artifacts.
 //
-// Exit codes mirror benchjson: 0 no deltas over threshold; 1 unreadable or
-// schema-mismatched input; 2 at least one delta over threshold.
+// Exit codes: 0 no deltas over threshold; 1 unreadable or schema-mismatched
+// input; 2 at least one delta over threshold.
 package main
 
 import (
@@ -29,7 +31,6 @@ import (
 	"io"
 	"os"
 
-	"smtflex/internal/benchjson"
 	"smtflex/internal/perfdiff"
 )
 
@@ -44,20 +45,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "usage: perfdiff [flags] baseline.json current.json\n")
 		fs.PrintDefaults()
 	}
-	def := perfdiff.DefaultThresholds()
 	var (
-		format      = fs.String("format", "text", "output format: text or json")
-		reportPath  = fs.String("report", "", "also write the text report to this file")
-		phasePct    = fs.Float64("phase-pct", def.PhasePct, "allowed %% increase in a phase's mean self time per trace")
-		phaseMinNs  = fs.Float64("phase-min-ns", def.PhaseMinNs, "phase mean self-time floor in ns; quieter phases are not gated")
-		cpiPct      = fs.Float64("cpi-pct", def.CPIPct, "allowed %% increase in a CPI-stack component")
-		cpiMin      = fs.Float64("cpi-min", def.CPIMin, "absolute CPI-delta floor")
-		quantPct    = fs.Float64("quantile-pct", def.QuantilePct, "allowed %% increase in a histogram quantile")
-		quantMin    = fs.Float64("quantile-min", def.QuantileMin, "absolute quantile-delta floor")
-		nsPct       = fs.Float64("ns-pct", def.Bench.Default.NsPerOpPct, "bench gate: allowed ns/op increase in percent")
-		allocsPct   = fs.Float64("allocs-pct", def.Bench.Default.AllocsPerOpPct, "bench gate: allowed allocs/op increase in percent")
-		allocsSlack = fs.Float64("allocs-slack", def.Bench.Default.AllocsPerOpSlack, "bench gate: absolute allocs/op allowance")
-		minNs       = fs.Float64("min-ns", def.Bench.MinNsPerOp, "bench gate: baseline ns/op noise floor")
+		format     = fs.String("format", "text", "output format: text or json")
+		reportPath = fs.String("report", "", "also write the text report to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -82,20 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	th := perfdiff.Thresholds{
-		PhasePct: *phasePct, PhaseMinNs: *phaseMinNs,
-		CPIPct: *cpiPct, CPIMin: *cpiMin,
-		QuantilePct: *quantPct, QuantileMin: *quantMin,
-		Bench: benchjson.Thresholds{
-			Default: benchjson.Limit{
-				NsPerOpPct:       *nsPct,
-				AllocsPerOpPct:   *allocsPct,
-				AllocsPerOpSlack: *allocsSlack,
-			},
-			MinNsPerOp: *minNs,
-		},
-	}
-	rep, err := perfdiff.Diff(base, cur, th)
+	rep, err := perfdiff.Diff(base, cur, perfdiff.DefaultThresholds())
 	if err != nil {
 		fmt.Fprintf(stderr, "perfdiff: %v\n", err)
 		return 1

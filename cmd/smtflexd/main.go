@@ -43,11 +43,8 @@
 //	GET  /debug/flight            coordinator: recent sweeps' cell lifecycles
 //	GET  /debug/flight/{sweep}    one flight record (>=8-char prefixes resolve)
 //	GET  /debug/perfsnap          versioned perf snapshot for perfdiff; ?pprof=1 attaches profiles
-//	GET  /debug/perfsnap/ring     continuous profiler's CPU-profile ring (-prof-interval)
 //
-// With -prof-interval a bounded ring of periodic CPU profiles is kept in
-// memory (off by default; the disabled path is one atomic load). With
-// -perf-baseline FILE the daemon watches its engine histograms for drift
+// With -perf-baseline FILE the daemon watches its engine histograms for drift
 // against a committed snapshot: a quantile shifting past tolerance bumps
 // smtflexd_perf_drift_total and auto-captures a full perf snapshot next to
 // the journal for later `perfdiff baseline.json drift.json` attribution.
@@ -130,19 +127,10 @@ func clusterPeers(role, workers string) ([]string, error) {
 	return peers, nil
 }
 
-// perfFlags validates the performance-observability flags eagerly and loads
-// the drift baseline when one is armed: an unreadable or schema-mismatched
-// baseline must fail at startup, not be discovered at the first drift check.
-func perfFlags(profInterval time.Duration, profRing int, baselinePath string) (*perfdiff.Snapshot, error) {
-	if profInterval < 0 {
-		return nil, fmt.Errorf("-prof-interval %v is negative (0 disables continuous profiling)", profInterval)
-	}
-	if profInterval > 0 && profInterval < time.Second {
-		return nil, fmt.Errorf("-prof-interval %v below the 1s floor (each capture profiles for up to half the interval)", profInterval)
-	}
-	if profRing < 1 {
-		return nil, fmt.Errorf("-prof-ring %d must be at least 1", profRing)
-	}
+// perfFlags loads the drift baseline eagerly when one is armed: an
+// unreadable or schema-mismatched baseline must fail at startup, not be
+// discovered at the first drift check.
+func perfFlags(baselinePath string) (*perfdiff.Snapshot, error) {
 	if baselinePath == "" {
 		return nil, nil
 	}
@@ -190,8 +178,6 @@ func main() {
 	cellCap := flag.Int("cell-cache-cap", 65536, "max cached sweep cells in the fabric result store before LRU eviction (0 = unbounded)")
 	journalDir := flag.String("journal", "", "coordinator only: write-ahead journal directory for completed sweep cells; a restarted coordinator replays it and re-dispatches only the remainder")
 	auditFrac := flag.Float64("audit-frac", 0, "coordinator only: fraction of cells in [0,1] double-dispatched to independent workers and digest-compared; divergence fails the sweep")
-	profInterval := flag.Duration("prof-interval", 0, "continuous profiling: capture a CPU profile at this cadence into a bounded ring served at /debug/perfsnap/ring (0 disables; min 1s)")
-	profRing := flag.Int("prof-ring", perfdiff.DefaultProfRingCap, "continuous profiling: profiles kept in the ring")
 	perfBaseline := flag.String("perf-baseline", "", "perf snapshot file to watch for drift: engine histogram quantiles shifting past tolerance bump smtflexd_perf_drift_total and auto-capture a snapshot next to the journal")
 	showVersion := flag.Bool("version", false, "print version information and exit")
 	flag.Parse()
@@ -213,7 +199,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "smtflexd: %v\n", err)
 		os.Exit(2)
 	}
-	baseline, err := perfFlags(*profInterval, *profRing, *perfBaseline)
+	baseline, err := perfFlags(*perfBaseline)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "smtflexd: %v\n", err)
 		os.Exit(2)
@@ -255,8 +241,6 @@ func main() {
 		MaxTimeout:     *maxDeadline,
 		Logger:         logger,
 		TraceBuffer:    *traceBuf,
-		ProfInterval:   *profInterval,
-		ProfRingCap:    *profRing,
 		PerfBaseline:   baseline,
 	}
 	if *journalDir != "" {
@@ -307,8 +291,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	// The perf loops (continuous profiling ring, drift watcher) run for the
-	// daemon's lifetime and stop with the signal context at drain time.
+	// The drift watcher runs for the daemon's lifetime and stops with the
+	// signal context at drain time.
 	srv.StartPerfLoops(ctx)
 
 	if *debugAddr != "" {

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"smtflex/internal/perfdiff"
 )
@@ -72,24 +71,18 @@ func TestPerfFlagsValidation(t *testing.T) {
 
 	cases := []struct {
 		name     string
-		interval time.Duration
-		ring     int
 		baseline string
 		wantBase bool
 		wantErr  string // substring; empty means success
 	}{
-		{name: "all off", ring: perfdiff.DefaultProfRingCap},
-		{name: "profiling armed", interval: 30 * time.Second, ring: 4},
-		{name: "baseline armed", ring: 8, baseline: good, wantBase: true},
-		{name: "negative interval", interval: -time.Second, ring: 8, wantErr: "negative"},
-		{name: "sub-second interval", interval: 100 * time.Millisecond, ring: 8, wantErr: "1s floor"},
-		{name: "zero ring", interval: time.Minute, ring: 0, wantErr: "-prof-ring"},
-		{name: "missing baseline", ring: 8, baseline: filepath.Join(dir, "nope.json"), wantErr: "-perf-baseline"},
-		{name: "schema mismatch baseline", ring: 8, baseline: bad, wantErr: "-perf-baseline"},
+		{name: "all off"},
+		{name: "baseline armed", baseline: good, wantBase: true},
+		{name: "missing baseline", baseline: filepath.Join(dir, "nope.json"), wantErr: "-perf-baseline"},
+		{name: "schema mismatch baseline", baseline: bad, wantErr: "-perf-baseline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base, err := perfFlags(tc.interval, tc.ring, tc.baseline)
+			base, err := perfFlags(tc.baseline)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want substring %q", err, tc.wantErr)

@@ -170,6 +170,17 @@ func TestDecodeJSONRoundTrip(t *testing.T) {
 	if _, err := DecodeJSON(strings.NewReader(`{broken`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}
+	// Negative values would make the gate's allowance arithmetic fail a
+	// document against itself (-1000 allocs/op allows at most -1036).
+	for _, doc := range []string{
+		`{"results":[{"name":"BenchmarkA","procs":1,"iterations":1,"ns_per_op":5,"metrics":{"allocs/op":-1000}}]}`,
+		`{"results":[{"name":"BenchmarkA","procs":1,"iterations":1,"ns_per_op":-5}]}`,
+		`{"results":[{"name":"BenchmarkA","procs":1,"iterations":-1,"ns_per_op":5}]}`,
+	} {
+		if _, err := DecodeJSON(strings.NewReader(doc)); err == nil {
+			t.Errorf("negative value accepted: %s", doc)
+		}
+	}
 	rep, err := DecodeJSON(strings.NewReader(
 		`{"goos":"linux","results":[{"name":"BenchmarkA","procs":8,"iterations":1,"ns_per_op":5,"metrics":{"allocs/op":3}}]}`))
 	if err != nil {
@@ -177,5 +188,35 @@ func TestDecodeJSONRoundTrip(t *testing.T) {
 	}
 	if rep.Results[0].Metrics["allocs/op"] != 3 {
 		t.Errorf("round trip: %+v", rep.Results[0])
+	}
+}
+
+// TestCompareFoldsRepeatedSamples: `go test -count=N` prints one line per
+// sample, and the gate compares each benchmark's median, so a repeated-run
+// document is clean against itself.
+func TestCompareFoldsRepeatedSamples(t *testing.T) {
+	rep, err := Parse(strings.NewReader("pkg: smtflex\n" +
+		"BenchmarkX-1 10 100000 ns/op 4 allocs/op\n" +
+		"BenchmarkX-1 10 900000 ns/op 8 allocs/op\n" +
+		"BenchmarkX-2 10 700000 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs, err := Compare(rep, rep, DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 0 {
+		t.Fatalf("repeated-run document not self-clean: %+v", regs)
+	}
+	folded := Fold(rep)
+	if len(folded) != 2 {
+		t.Fatalf("folded to %d results, want one per procs: %+v", len(folded), folded)
+	}
+	if x := folded[0]; x.Procs != 1 || x.NsPerOp != 500000 || x.Metrics["allocs/op"] != 6 {
+		t.Errorf("median of BenchmarkX-1 = %+v, want 500000 ns/op, 6 allocs/op", x)
+	}
+	if x := folded[1]; x.Procs != 2 || x.NsPerOp != 700000 {
+		t.Errorf("single-sample BenchmarkX-2 = %+v", x)
 	}
 }

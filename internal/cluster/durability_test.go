@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"smtflex/internal/faults"
 	"smtflex/internal/journal"
@@ -24,6 +25,27 @@ func openTestJournal(t *testing.T, dir string) *journal.Journal {
 		t.Fatalf("journal.Open: %v", err)
 	}
 	return j
+}
+
+// awaitSweepsSettled waits until c has no active sweep. A caller that
+// abandons SweepDesign returns at once, while the shared compute still
+// finishes, and journals, the cells it already had in flight.
+func awaitSweepsSettled(t *testing.T, c *Coordinator) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		active := false
+		for _, m := range c.FlightList() {
+			active = active || m.Active
+		}
+		if !active {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned sweep still active after 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestChaosWireCorruptionQuarantined is the integrity contract test: cell
@@ -86,6 +108,7 @@ func TestCoordinatorCrashResumeByteIdentical(t *testing.T) {
 			t.Fatalf("fleet of %d: interrupted sweep succeeded, want cancellation", nWorkers)
 		}
 		cancel()
+		awaitSweepsSettled(t, c1)
 		journaled := opts.Journal.Len()
 		if journaled < 6 {
 			t.Fatalf("fleet of %d: %d cells journaled before cancel, want >= 6", nWorkers, journaled)

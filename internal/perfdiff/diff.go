@@ -33,16 +33,14 @@ type Thresholds struct {
 	// QuantileMin is the absolute quantile-delta floor (in the histogram's
 	// own unit: iterations, seconds).
 	QuantileMin float64
-	// Quantiles lists the probed quantiles. Empty means p50/p95/p99.
-	Quantiles []float64
-	// Bench gates embedded benchjson reports with the existing compare
-	// semantics.
+	// Bench gates embedded benchjson reports (see benchjson.Compare).
 	Bench benchjson.Thresholds
 }
 
 // DefaultThresholds is the gate tuned for same-machine before/after captures:
 // generous relative gates (traced runs share a noisy host) anchored by
-// absolute floors that a real hot-path regression clears easily.
+// absolute floors that a real hot-path regression clears easily. Its bench
+// gate is CI's (benchjson.DefaultThresholds).
 func DefaultThresholds() Thresholds {
 	return Thresholds{
 		PhasePct:    75,
@@ -51,7 +49,6 @@ func DefaultThresholds() Thresholds {
 		CPIMin:      0.05,
 		QuantilePct: 100,
 		QuantileMin: 1e-3,
-		Quantiles:   []float64{0.5, 0.95, 0.99},
 		Bench:       benchjson.DefaultThresholds(),
 	}
 }
@@ -112,9 +109,6 @@ func Diff(base, cur *Snapshot, th Thresholds) (*Report, error) {
 	if err := cur.Validate(); err != nil {
 		return nil, fmt.Errorf("current: %w", err)
 	}
-	if len(th.Quantiles) == 0 {
-		th.Quantiles = []float64{0.5, 0.95, 0.99}
-	}
 	rep := &Report{
 		SchemaVersion: SchemaVersion,
 		BaselineBuild: base.Build,
@@ -123,7 +117,7 @@ func Diff(base, cur *Snapshot, th Thresholds) (*Report, error) {
 	rep.Deltas = append(rep.Deltas, diffPhases("phase", base.TimeStacks, cur.TimeStacks, th)...)
 	rep.Deltas = append(rep.Deltas, diffPhases("fleet-phase", base.FleetStacks, cur.FleetStacks, th)...)
 	rep.Deltas = append(rep.Deltas, diffCPI(base.MachStats, cur.MachStats, th)...)
-	rep.Deltas = append(rep.Deltas, diffQuantiles(base.Histograms, cur.Histograms, th)...)
+	rep.Deltas = append(rep.Deltas, DiffQuantiles(base.Histograms, cur.Histograms, th)...)
 	bench, err := diffBench(base.Bench, cur.Bench, th)
 	if err != nil {
 		return nil, err
@@ -217,23 +211,8 @@ func diffCPI(base, cur *machstats.Snapshot, th Thresholds) []Delta {
 	}
 	bm := meanCPI(base.Stacks)
 	cm := meanCPI(cur.Stacks)
-	var keys []string
-	seen := map[string]bool{}
-	for k := range bm {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	for k := range cm {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
 	var out []Delta
-	for _, k := range keys {
+	for _, k := range unionKeys(bm, cm) {
 		b, bok := bm[k]
 		c, cok := cm[k]
 		engine, comp, _ := strings.Cut(k, "\x00")
@@ -271,8 +250,11 @@ func meanCPI(stacks []machstats.StackRecord) map[string]float64 {
 	return out
 }
 
-// diffQuantiles compares histogram quantiles by name.
-func diffQuantiles(base, cur []HistogramState, th Thresholds) []Delta {
+// DiffQuantiles compares the p50/p95/p99 of histograms matched by name:
+// Diff's quantile rows and the daemon's drift check. A quantile exceeds when
+// it crosses both th.QuantilePct and th.QuantileMin. Histograms absent from
+// either side, or empty on either side, yield no rows.
+func DiffQuantiles(base, cur []HistogramState, th Thresholds) []Delta {
 	curBy := make(map[string]HistogramState, len(cur))
 	for _, h := range cur {
 		curBy[h.Name] = h
@@ -284,7 +266,7 @@ func diffQuantiles(base, cur []HistogramState, th Thresholds) []Delta {
 			continue
 		}
 		bs, cs := b.Snapshot(), c.Snapshot()
-		for _, p := range th.Quantiles {
+		for _, p := range []float64{0.5, 0.95, 0.99} {
 			bq, cq := bs.Quantile(p), cs.Quantile(p)
 			if bq == 0 && cq == 0 {
 				continue
@@ -303,9 +285,13 @@ func diffQuantiles(base, cur []HistogramState, th Thresholds) []Delta {
 	return out
 }
 
-// diffBench converts benchjson regressions to deltas when both snapshots
-// embed a report. One side missing is fine (CLI snapshots rarely carry
-// bench results); both present but un-comparable is an error.
+// diffBench lists every benchmark of two embedded reports, folded to
+// per-benchmark medians as benchjson.Compare folds them: an ns/op row and,
+// when the baseline measured allocations, an allocs/op row per matched
+// benchmark; a row per baseline benchmark missing from current; and an
+// informational row per benchmark new in current. Every Exceeds comes from
+// Compare's verdict. One side missing is fine (CLI snapshots rarely carry
+// bench results).
 func diffBench(base, cur *benchjson.Report, th Thresholds) ([]Delta, error) {
 	if base == nil || cur == nil {
 		return nil, nil
@@ -314,14 +300,41 @@ func diffBench(base, cur *benchjson.Report, th Thresholds) ([]Delta, error) {
 	if err != nil {
 		return nil, fmt.Errorf("perfdiff: bench compare: %w", err)
 	}
-	out := make([]Delta, 0, len(regs))
+	// row identifies one gated value of one benchmark, as benchjson keys them.
+	type row struct {
+		pkg, name string
+		procs     int
+		metric    string
+	}
+	var out []Delta
+	over := make(map[row]bool, len(regs))
 	for _, r := range regs {
-		d := Delta{
-			Kind: "bench", Group: r.Name, Metric: r.Metric,
-			Baseline: r.Baseline, Current: r.Current, Exceeds: true,
-		}
+		over[row{r.Package, r.Name, r.Procs, r.Metric}] = true
 		if r.Metric == "missing" {
-			d.Note = "missing from current run"
+			out = append(out, Delta{Kind: "bench", Group: r.Name, Metric: r.Metric, Exceeds: true, Note: "missing from current run"})
+		}
+	}
+	baseBy := make(map[row]benchjson.Result)
+	for _, b := range benchjson.Fold(base) {
+		baseBy[row{b.Package, b.Name, b.Procs, ""}] = b
+	}
+	for _, c := range benchjson.Fold(cur) {
+		k := row{c.Package, c.Name, c.Procs, "ns/op"}
+		b, ok := baseBy[row{c.Package, c.Name, c.Procs, ""}]
+		if !ok {
+			out = append(out, Delta{Kind: "bench", Group: c.Name, Metric: "ns/op", Current: c.NsPerOp, Note: "new in current"})
+			continue
+		}
+		out = append(out, Delta{Kind: "bench", Group: c.Name, Metric: "ns/op", Baseline: b.NsPerOp, Current: c.NsPerOp, Exceeds: over[k]})
+		ba, ok := b.Metrics["allocs/op"]
+		if !ok {
+			continue
+		}
+		k.metric = "allocs/op"
+		ca, measured := c.Metrics["allocs/op"]
+		d := Delta{Kind: "bench", Group: c.Name, Metric: "allocs/op", Baseline: ba, Current: ca, Exceeds: over[k]}
+		if !measured {
+			d.Note = "not measured in current run"
 		}
 		out = append(out, d)
 	}
@@ -341,7 +354,7 @@ func (r *Report) RenderText() string {
 	if len(r.Deltas) == 0 {
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%-12s %-28s %-12s %14s %14s %9s  %s\n",
+	fmt.Fprintf(&b, "%-12s %-34s %-12s %14s %14s %9s  %s\n",
 		"kind", "group", "metric", "baseline", "current", "delta", "flag")
 	for _, d := range r.Deltas {
 		flag := ""
@@ -354,7 +367,7 @@ func (r *Report) RenderText() string {
 			}
 			flag += "(" + d.Note + ")"
 		}
-		fmt.Fprintf(&b, "%-12s %-28s %-12s %14.6g %14.6g %9s  %s\n",
+		fmt.Fprintf(&b, "%-12s %-34s %-12s %14.6g %14.6g %9s  %s\n",
 			d.Kind, d.Group, d.Metric, d.Baseline, d.Current, formatRel(d), flag)
 	}
 	return b.String()
@@ -378,18 +391,13 @@ func describeBuild(b Build) string {
 }
 
 // unionKeys returns the sorted union of two maps' keys.
-func unionKeys(a, b map[string]int64) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	var keys []string
+func unionKeys[V any](a, b map[string]V) []string {
+	keys := make([]string, 0, len(a)+len(b))
 	for k := range a {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	for k := range b {
-		if !seen[k] {
-			seen[k] = true
+		if _, ok := a[k]; !ok {
 			keys = append(keys, k)
 		}
 	}

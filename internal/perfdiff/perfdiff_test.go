@@ -286,6 +286,24 @@ func TestValidateRejectsWrongSchema(t *testing.T) {
 	if _, err := perfdiff.Diff(wrong, wrong, perfdiff.DefaultThresholds()); err == nil {
 		t.Fatal("Diff accepted mismatched schema version")
 	}
+	// Right version, but a shape Diff cannot compare: a histogram whose
+	// counts do not match its bounds (Quantile would index past them), a
+	// name listed twice (a document would not diff clean against itself),
+	// or an embedded bench report benchjson rejects.
+	for _, doc := range []string{
+		`{"schema_version":1,"histograms":[{"name":"h","bounds":[1,2],"cumulative":[1],"count":1}]}`,
+		`{"schema_version":1,"histograms":[{"name":"h","count":1,"sum":1},{"name":"h","count":1,"sum":9}]}`,
+		`{"schema_version":1,"time_stacks":[{"name":"g","traces":1},{"name":"g","traces":2}]}`,
+		`{"schema_version":1,"bench":{"results":[]}}`,
+		`{"schema_version":1,"bench":{"results":[{"name":"B","procs":1,"iterations":1,"ns_per_op":1,"metrics":{"allocs/op":-1000}}]}}`,
+	} {
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := perfdiff.ReadAuto(path); err == nil {
+			t.Errorf("malformed snapshot accepted: %s", doc)
+		}
+	}
 }
 
 func TestReadAutoWrapsBenchReport(t *testing.T) {
@@ -407,7 +425,9 @@ func TestDiffCPIShift(t *testing.T) {
 	}
 }
 
-func TestDriftWatcher(t *testing.T) {
+// TestDiffQuantiles pins the comparator the daemon's drift check calls, at
+// its 50% tolerance.
+func TestDiffQuantiles(t *testing.T) {
 	mk := func(vals ...float64) []perfdiff.HistogramState {
 		h := obs.NewHistogram(perfdiff.SolverIterBuckets)
 		for _, v := range vals {
@@ -415,99 +435,153 @@ func TestDriftWatcher(t *testing.T) {
 		}
 		return []perfdiff.HistogramState{perfdiff.HistState(perfdiff.HistSolverIterations, h.Snapshot())}
 	}
-	base := perfdiff.Capture(perfdiff.CaptureOpts{Histograms: mk(3, 3, 3, 3)})
-	w := perfdiff.NewDriftWatcher(base, perfdiff.DefaultDriftTolerance())
-	if ds := w.Check(mk(3, 3, 3, 3)); len(ds) != 0 {
-		t.Errorf("identical state drifted: %v", ds)
+	drift := perfdiff.Thresholds{QuantilePct: 50, QuantileMin: 1e-3}
+	exceeding := func(ds []perfdiff.Delta) []perfdiff.Delta {
+		var out []perfdiff.Delta
+		for _, d := range ds {
+			if d.Exceeds {
+				out = append(out, d)
+			}
+		}
+		return out
 	}
-	ds := w.Check(mk(120, 120, 120, 120))
-	if len(ds) == 0 {
+	base := mk(3, 3, 3, 3)
+	ds := perfdiff.DiffQuantiles(base, mk(3, 3, 3, 3), drift)
+	if len(ds) != 3 {
+		t.Errorf("identical state: %d rows, want p50/p95/p99", len(ds))
+	}
+	if over := exceeding(ds); len(over) != 0 {
+		t.Errorf("identical state drifted: %+v", over)
+	}
+	over := exceeding(perfdiff.DiffQuantiles(base, mk(120, 120, 120, 120), drift))
+	if len(over) == 0 {
 		t.Fatal("40x shift not detected")
 	}
-	if ds[0].Histogram != perfdiff.HistSolverIterations {
-		t.Errorf("drift %+v", ds[0])
+	if over[0].Kind != "quantile" || over[0].Group != perfdiff.HistSolverIterations {
+		t.Errorf("drift %+v", over[0])
 	}
 	// Histograms absent from the baseline never fire.
-	w2 := perfdiff.NewDriftWatcher(perfdiff.Capture(perfdiff.CaptureOpts{}), perfdiff.DefaultDriftTolerance())
-	if ds := w2.Check(mk(120)); len(ds) != 0 {
-		t.Errorf("baseline-free watcher fired: %v", ds)
+	if ds := perfdiff.DiffQuantiles(nil, mk(120), drift); len(ds) != 0 {
+		t.Errorf("baseline-free comparison produced rows: %+v", ds)
 	}
 }
 
-func TestProfRing(t *testing.T) {
-	r := perfdiff.NewProfRing(2)
-	if r.Armed() {
-		t.Fatal("fresh ring armed")
-	}
-	for i := 0; i < 3; i++ {
-		if err := r.CaptureOnce(5 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ps := r.Snapshot()
-	if len(ps) != 2 {
-		t.Fatalf("ring holds %d profiles, want 2 (cap)", len(ps))
-	}
-	for _, p := range ps {
-		if p.Kind != "cpu" || len(p.Data) == 0 {
-			t.Errorf("bad profile %q with %d bytes", p.Kind, len(p.Data))
-		}
-	}
-	if !ps[0].CapturedAt.Before(ps[1].CapturedAt) && !ps[0].CapturedAt.Equal(ps[1].CapturedAt) {
-		t.Errorf("ring not oldest-first: %v then %v", ps[0].CapturedAt, ps[1].CapturedAt)
-	}
-	caps, skipped := r.Counts()
-	if caps != 3 || skipped != 0 {
-		t.Errorf("counts %d/%d, want 3/0", caps, skipped)
-	}
-
-	// Run arms the ring for its lifetime and stops cleanly on cancel.
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); r.Run(ctx, 5*time.Millisecond, 2*time.Millisecond) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for !r.Armed() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !r.Armed() {
-		t.Fatal("Run never armed the ring")
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not stop on cancel")
-	}
-	if r.Armed() {
-		t.Fatal("ring still armed after Run returned")
-	}
-}
-
-// TestProfRingDisarmedZeroAllocsOnSolverHotPath is the overhead acceptance
-// criterion: with the profiling ring constructed but disarmed (the
-// -prof-interval=0 default), the sweep hot path — a reused contention solver
-// at steady state — must allocate nothing. The ring is fully decoupled from
-// the engine; this guard keeps it that way.
-func TestProfRingDisarmedZeroAllocsOnSolverHotPath(t *testing.T) {
-	machstats.Disable()
-	obs.Disable()
-	ring := perfdiff.NewProfRing(0)
-	pl := place(t, "4B", "tonto", "gcc", "mcf", "hmmer", "soplex", "bzip2")
-	s := contention.NewSolver()
-	m := contention.DefaultModel()
-	if _, err := s.SolveModel(pl, m); err != nil { // warm the scratch
+// benchDeltas diffs two bench-only snapshots and returns the bench rows
+// keyed "group metric", with the report.
+func benchDeltas(t *testing.T, base, cur []benchjson.Result, th perfdiff.Thresholds) (map[string]perfdiff.Delta, *perfdiff.Report) {
+	t.Helper()
+	rep, err := perfdiff.Diff(
+		perfdiff.Capture(perfdiff.CaptureOpts{Bench: &benchjson.Report{Results: base}}),
+		perfdiff.Capture(perfdiff.CaptureOpts{Bench: &benchjson.Report{Results: cur}}), th)
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if ring.Armed() { // the daemon's one-atomic-load disabled check
-			t.Fatal("ring unexpectedly armed")
+	rows := make(map[string]perfdiff.Delta)
+	for _, d := range rep.Deltas {
+		if d.Kind != "bench" {
+			t.Fatalf("non-bench row %+v", d)
 		}
-		if _, err := s.SolveModel(pl, m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("solver hot path with disarmed ring allocates %.1f/run, want 0", allocs)
+		rows[d.Group+" "+d.Metric] = d
+	}
+	return rows, rep
+}
+
+func bres(name string, ns, allocs float64) benchjson.Result {
+	return benchjson.Result{
+		Name: name, Package: "smtflex", Procs: 8, Iterations: 1, NsPerOp: ns,
+		Metrics: map[string]float64{"allocs/op": allocs, "B/op": allocs * 48},
+	}
+}
+
+func TestDiffBenchSignedDeltas(t *testing.T) {
+	rows, rep := benchDeltas(t,
+		[]benchjson.Result{bres("BenchmarkFast", 1e6, 100), bres("BenchmarkSlow", 2e6, 0)},
+		[]benchjson.Result{bres("BenchmarkFast", 1.5e6, 100), bres("BenchmarkSlow", 1e6, 0)},
+		perfdiff.DefaultThresholds())
+	if rep.Exceeded != 0 {
+		t.Fatalf("moves inside the gate flagged:\n%s", rep.RenderText())
+	}
+	// Regressions and improvements both carry explicit signs.
+	if d := rows["BenchmarkFast ns/op"]; d.Rel() != 0.5 {
+		t.Errorf("regression row %+v, want +50%%", d)
+	}
+	if d := rows["BenchmarkSlow ns/op"]; d.Rel() != -0.5 {
+		t.Errorf("improvement row %+v, want -50%%", d)
+	}
+	text := rep.RenderText()
+	if !strings.Contains(text, "+50.0%") || !strings.Contains(text, "-50.0%") {
+		t.Errorf("rendered deltas unsigned:\n%s", text)
+	}
+	if len(rows) != 4 {
+		t.Errorf("%d rows, want ns/op and allocs/op for both benchmarks: %v", len(rows), rows)
+	}
+}
+
+func TestDiffBenchFlagsRegressions(t *testing.T) {
+	th := perfdiff.DefaultThresholds()
+	th.Bench = benchjson.Thresholds{Default: benchjson.Limit{NsPerOpPct: 10, AllocsPerOpPct: 10}, MinNsPerOp: 1000}
+	rows, rep := benchDeltas(t,
+		[]benchjson.Result{bres("BenchmarkA", 1e6, 100), bres("BenchmarkB", 1e6, 100)},
+		[]benchjson.Result{bres("BenchmarkA", 2e6, 150), bres("BenchmarkB", 1e6, 100)}, th)
+	if rep.Exceeded != 2 || !rows["BenchmarkA ns/op"].Exceeds || !rows["BenchmarkA allocs/op"].Exceeds {
+		t.Errorf("want ns/op and allocs/op of BenchmarkA over:\n%s", rep.RenderText())
+	}
+	if rows["BenchmarkB ns/op"].Exceeds || rows["BenchmarkB allocs/op"].Exceeds {
+		t.Errorf("unchanged benchmark flagged:\n%s", rep.RenderText())
+	}
+	if !rep.Deltas[0].Exceeds || !rep.Deltas[1].Exceeds {
+		t.Errorf("regressions not ranked first:\n%s", rep.RenderText())
+	}
+}
+
+func TestDiffBenchMissingAndNew(t *testing.T) {
+	rows, rep := benchDeltas(t,
+		[]benchjson.Result{bres("BenchmarkGone", 1e6, 0), bres("BenchmarkKept", 1e6, 0)},
+		[]benchjson.Result{bres("BenchmarkKept", 1e6, 0), bres("BenchmarkNew", 1e6, 0)},
+		perfdiff.DefaultThresholds())
+	if d := rows["BenchmarkGone missing"]; !d.Exceeds || d.Note != "missing from current run" {
+		t.Errorf("missing row %+v", d)
+	}
+	if d := rows["BenchmarkNew ns/op"]; d.Exceeds || d.Note != "new in current" || d.Current != 1e6 {
+		t.Errorf("new row %+v", d)
+	}
+	if rep.Exceeded != 1 {
+		t.Errorf("only the missing benchmark gates:\n%s", rep.RenderText())
+	}
+}
+
+func TestDiffBenchNoAllocsMetric(t *testing.T) {
+	bare := benchjson.Result{Name: "BenchmarkBare", Package: "smtflex", Procs: 8, Iterations: 1, NsPerOp: 1e6}
+	rows, rep := benchDeltas(t, []benchjson.Result{bare}, []benchjson.Result{bare}, perfdiff.DefaultThresholds())
+	if _, ok := rows["BenchmarkBare ns/op"]; !ok || len(rows) != 1 || rep.Exceeded != 0 {
+		t.Errorf("alloc-less benchmark: want one clean ns/op row, got\n%s", rep.RenderText())
+	}
+}
+
+func TestDiffBenchAllocsNotMeasured(t *testing.T) {
+	unmeasured := benchjson.Result{Name: "BenchmarkA", Package: "smtflex", Procs: 8, Iterations: 1, NsPerOp: 1e6}
+	rows, rep := benchDeltas(t, []benchjson.Result{bres("BenchmarkA", 1e6, 10)}, []benchjson.Result{unmeasured},
+		perfdiff.DefaultThresholds())
+	// A run without -benchmem cannot show an allocation regression, so the
+	// gate fails loud rather than pass blind.
+	if d := rows["BenchmarkA allocs/op"]; !d.Exceeds || d.Note != "not measured in current run" {
+		t.Errorf("allocs row %+v\n%s", d, rep.RenderText())
+	}
+	if rows["BenchmarkA ns/op"].Exceeds {
+		t.Errorf("unchanged ns/op flagged")
+	}
+}
+
+// TestDiffBenchFoldsRepeatedSamples: a `-count=2` document compares each
+// benchmark's median, so it is clean against itself.
+func TestDiffBenchFoldsRepeatedSamples(t *testing.T) {
+	runs := []benchjson.Result{bres("BenchmarkX", 100_000, 1), bres("BenchmarkX", 900_000, 3)}
+	rows, rep := benchDeltas(t, runs, runs, perfdiff.DefaultThresholds())
+	if rep.Exceeded != 0 {
+		t.Fatalf("repeated-run document not self-clean:\n%s", rep.RenderText())
+	}
+	if d := rows["BenchmarkX ns/op"]; len(rows) != 2 || d.Baseline != 500_000 || d.Current != 500_000 {
+		t.Errorf("want one median row per metric, got %v", rows)
 	}
 }
 
@@ -520,4 +594,50 @@ func TestCaptureHeapProfile(t *testing.T) {
 	if p.Kind != "heap" || len(p.Data) == 0 {
 		t.Errorf("heap profile %q with %d bytes", p.Kind, len(p.Data))
 	}
+}
+
+// FuzzReadAuto fuzzes the gate's input reader: whatever ReadAuto accepts
+// must validate and diff clean against itself, and nothing may panic.
+func FuzzReadAuto(f *testing.F) {
+	h := obs.NewHistogram(perfdiff.SolverIterBuckets)
+	h.Observe(3)
+	snap := perfdiff.Capture(perfdiff.CaptureOpts{
+		Role:       "fuzz",
+		Histograms: []perfdiff.HistogramState{perfdiff.HistState(perfdiff.HistSolverIterations, h.Snapshot())},
+		Bench:      &benchjson.Report{Results: []benchjson.Result{bres("BenchmarkA", 1e6, 10)}},
+	})
+	snap.TimeStacks = []obs.TimeStack{{Name: "sweep", Traces: 2, WallNs: 4e6, ByNs: map[string]int64{obs.CatSolve: 4e6}}}
+	snap.MachStats = &machstats.Snapshot{Stacks: []machstats.StackRecord{{
+		Engine: "interval", Components: []machstats.Component{{Name: "base", CPI: 0.5}},
+	}}}
+	data, err := snap.MarshalIndent()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"results":[{"name":"BenchmarkA","procs":1,"iterations":10,"ns_per_op":100,"metrics":{"allocs/op":5}},` +
+		`{"name":"BenchmarkA","procs":1,"iterations":10,"ns_per_op":900,"metrics":{"allocs/op":7}}]}`))
+	f.Add([]byte("\x00garbage{"))
+	f.Add([]byte(`{"schema_version": 99}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "in.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := perfdiff.ReadAuto(path)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("accepted snapshot fails Validate: %v", err)
+		}
+		rep, err := perfdiff.Diff(s, s, perfdiff.DefaultThresholds())
+		if err != nil {
+			t.Fatalf("accepted input does not diff against itself: %v", err)
+		}
+		if rep.Exceeded != 0 {
+			t.Fatalf("accepted input not self-clean:\n%s", rep.RenderText())
+		}
+	})
 }

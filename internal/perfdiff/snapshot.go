@@ -146,7 +146,7 @@ type Snapshot struct {
 	// Bench embeds a benchjson report when the capture had one (CI attaches
 	// the current run so perfdiff can attribute a bench regression).
 	Bench *benchjson.Report `json:"bench,omitempty"`
-	// Profiles carries optional pprof captures (?pprof=1, or the prof ring).
+	// Profiles carries optional pprof captures (/debug/perfsnap?pprof=1).
 	Profiles []Profile `json:"profiles,omitempty"`
 }
 
@@ -184,8 +184,10 @@ func Capture(o CaptureOpts) *Snapshot {
 	return s
 }
 
-// Validate checks the schema stamp. Diff and every reader call it so a
-// hand-edited or cross-generation document fails loudly.
+// Validate checks the schema stamp and the shape Diff relies on: each time
+// stack and histogram named once, histogram counts matching their bounds,
+// and an embedded bench report that benchjson accepts. Diff and every reader
+// call it so a hand-edited or cross-generation document fails loudly.
 func (s *Snapshot) Validate() error {
 	if s == nil {
 		return errors.New("perfdiff: nil snapshot")
@@ -193,6 +195,31 @@ func (s *Snapshot) Validate() error {
 	if s.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("perfdiff: snapshot schema version %d, this build reads %d",
 			s.SchemaVersion, SchemaVersion)
+	}
+	for _, stacks := range [][]TimeStack{s.TimeStacks, s.FleetStacks} {
+		seen := make(map[string]bool, len(stacks))
+		for _, ts := range stacks {
+			if seen[ts.Name] {
+				return fmt.Errorf("perfdiff: time stack %q listed twice", ts.Name)
+			}
+			seen[ts.Name] = true
+		}
+	}
+	seen := make(map[string]bool, len(s.Histograms))
+	for _, h := range s.Histograms {
+		if seen[h.Name] {
+			return fmt.Errorf("perfdiff: histogram %q listed twice", h.Name)
+		}
+		seen[h.Name] = true
+		if len(h.Cumulative) != len(h.Bounds) {
+			return fmt.Errorf("perfdiff: histogram %q has %d cumulative counts for %d bounds",
+				h.Name, len(h.Cumulative), len(h.Bounds))
+		}
+	}
+	if s.Bench != nil {
+		if err := s.Bench.Validate(); err != nil {
+			return fmt.Errorf("perfdiff: embedded bench report: %w", err)
+		}
 	}
 	return nil
 }

@@ -100,7 +100,6 @@ var debugRoutes = []struct {
 	{"GET /debug/flight", (*Server).handleFlight},
 	{"GET /debug/flight/{sweep}", (*Server).handleFlight},
 	{"GET /debug/perfsnap", (*Server).handlePerfsnap},
-	{"GET /debug/perfsnap/ring", (*Server).handlePerfRing},
 }
 
 // mountDebugRoutes registers every entry of debugRoutes on mux.

@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -13,23 +15,17 @@ import (
 
 // The perf-snapshot surfaces: GET /debug/perfsnap captures the daemon's
 // current performance state as a versioned perfdiff bundle (?pprof=1 attaches
-// heap + CPU profiles); GET /debug/perfsnap/ring serves the continuous
-// profiler's bounded ring; and StartPerfLoops runs the optional background
-// loops — periodic profile capture and the snap-on-drift watcher that
-// auto-dumps a snapshot beside the journal when engine histograms shift past
-// tolerance versus a committed baseline.
+// heap + CPU profiles), and StartPerfLoops runs the optional snap-on-drift
+// watcher that auto-dumps a snapshot beside the journal when engine
+// histograms shift past tolerance versus a committed baseline.
 
 // perf bundles the Server's performance-observability state.
 type perf struct {
-	ring     *perfdiff.ProfRing
-	interval time.Duration // 0 = continuous profiling off
-
-	drift         *perfdiff.DriftWatcher
-	driftInterval time.Duration
-	dumpDir       string
-	drifts        atomic.Int64 // smtflexd_perf_drift_total
-	dumps         atomic.Int64 // drift snapshots written
-	dumpErrs      atomic.Int64
+	baseline *perfdiff.Snapshot // nil = drift watcher off
+	dumpDir  string
+	drifts   atomic.Int64 // smtflexd_perf_drift_total
+	dumps    atomic.Int64 // drift snapshots written
+	dumpErrs atomic.Int64
 }
 
 // maxDriftDumps bounds how many drift snapshots one daemon writes: drift that
@@ -37,20 +33,15 @@ type perf struct {
 // (closest to the transition), not an unbounded stream of identical ones.
 const maxDriftDumps = 16
 
-// defaultDriftInterval is how often the drift watcher compares live
-// histograms against the baseline.
-const defaultDriftInterval = 15 * time.Second
+// driftInterval is how often the drift watcher compares live histograms
+// against the baseline.
+const driftInterval = 15 * time.Second
 
-// profileWindow picks the CPU capture length for a continuous-profiling
-// interval: half the interval, capped at one second — long enough to catch
-// the hot path, short enough that profiling overhead stays marginal.
-func profileWindow(interval time.Duration) time.Duration {
-	w := interval / 2
-	if w > time.Second {
-		w = time.Second
-	}
-	return w
-}
+// driftThresholds trips on a sustained ~1.5x shift in any watched quantile:
+// loose enough to ignore warmup, tight enough that a solver suddenly
+// iterating twice as long gets its snapshot captured. The absolute floor
+// keeps microsecond queue jitter on an idle daemon from tripping it.
+var driftThresholds = perfdiff.Thresholds{QuantilePct: 50, QuantileMin: 1e-3}
 
 // perfHistograms snapshots the engine histograms in canonical order.
 func (s *Server) perfHistograms() []perfdiff.HistogramState {
@@ -122,79 +113,56 @@ func (s *Server) handlePerfsnap(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// PerfRingResponse is the /debug/perfsnap/ring body.
-type PerfRingResponse struct {
-	// Interval is the configured capture cadence in seconds.
-	IntervalSeconds float64 `json:"interval_seconds"`
-	// Captures and Skipped count capture attempts since start.
-	Captures int64 `json:"captures"`
-	Skipped  int64 `json:"skipped"`
-	// Profiles is the ring's contents, oldest first.
-	Profiles []perfdiff.Profile `json:"profiles"`
-}
-
-func (s *Server) handlePerfRing(w http.ResponseWriter, _ *http.Request) {
-	if s.perf.interval <= 0 {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "continuous profiling disabled (start with -prof-interval)"})
+// StartPerfLoops launches the drift watcher when a PerfBaseline is armed: it
+// runs checkDrift every driftInterval until ctx is cancelled. Safe to call
+// once at startup; a daemon without a baseline starts nothing.
+func (s *Server) StartPerfLoops(ctx context.Context) {
+	if s.perf.baseline == nil {
 		return
 	}
-	caps, skipped := s.perf.ring.Counts()
-	writeJSON(w, http.StatusOK, PerfRingResponse{
-		IntervalSeconds: s.perf.interval.Seconds(),
-		Captures:        caps,
-		Skipped:         skipped,
-		Profiles:        s.perf.ring.Snapshot(),
-	})
+	go func() {
+		t := time.NewTicker(driftInterval)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				s.checkDrift(ctx)
+			}
+		}
+	}()
+	s.log.Info("perf drift watcher armed", "interval", driftInterval, "dump_dir", s.perf.dumpDir)
 }
 
-// StartPerfLoops launches the configured background loops: the continuous
-// profiling ring (ProfInterval > 0) and the drift watcher (PerfBaseline
-// set). Both stop when ctx is cancelled. Safe to call once at startup;
-// a daemon with neither configured starts nothing.
-func (s *Server) StartPerfLoops(ctx context.Context) {
-	if s.perf.interval > 0 {
-		go s.perf.ring.Run(ctx, s.perf.interval, profileWindow(s.perf.interval))
-		s.log.Info("continuous profiling armed", "interval", s.perf.interval, "ring", perfdiff.DefaultProfRingCap)
-	}
-	if s.perf.drift != nil {
-		go s.driftLoop(ctx)
-		s.log.Info("perf drift watcher armed", "interval", s.perf.driftInterval, "dump_dir", s.perf.dumpDir)
-	}
-}
-
-// driftLoop periodically compares live engine histograms against the armed
-// baseline. Every drifted quantile bumps smtflexd_perf_drift_total; the first
+// checkDrift compares live engine histograms against the armed baseline.
+// Every drifted quantile bumps smtflexd_perf_drift_total; the first
 // maxDriftDumps drift events also capture a full snapshot next to the journal
 // (atomic temp+rename, like flight-recorder dumps) so the postmortem has the
 // state from the moment of the shift, not from whenever someone noticed.
-func (s *Server) driftLoop(ctx context.Context) {
-	t := time.NewTicker(s.perf.driftInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			drifts := s.perf.drift.Check(s.perfHistograms())
-			if len(drifts) == 0 {
-				continue
-			}
-			s.perf.drifts.Add(int64(len(drifts)))
-			s.log.Warn("perf drift vs baseline", "drifts", perfdiff.FormatDrifts(drifts))
-			if s.perf.dumps.Load() >= maxDriftDumps {
-				continue
-			}
-			snap := s.PerfSnapshot(ctx)
-			path, err := snap.WriteDir(s.perf.dumpDir, "perfdrift")
-			if err != nil {
-				s.perf.dumpErrs.Add(1)
-				s.log.Error("perf drift snapshot failed", "err", err)
-				continue
-			}
-			s.perf.dumps.Add(1)
-			s.log.Warn("perf drift snapshot written", "path", path)
+func (s *Server) checkDrift(ctx context.Context) {
+	var drifted []string
+	for _, d := range perfdiff.DiffQuantiles(s.perf.baseline.Histograms, s.perfHistograms(), driftThresholds) {
+		if d.Exceeds {
+			drifted = append(drifted, fmt.Sprintf("%s %s: %.6g -> %.6g", d.Group, d.Metric, d.Baseline, d.Current))
 		}
 	}
+	if len(drifted) == 0 {
+		return
+	}
+	s.perf.drifts.Add(int64(len(drifted)))
+	s.log.Warn("perf drift vs baseline", "drifts", strings.Join(drifted, "; "))
+	if s.perf.dumps.Load() >= maxDriftDumps {
+		return
+	}
+	path, err := s.PerfSnapshot(ctx).WriteDir(s.perf.dumpDir, "perfdrift")
+	if err != nil {
+		s.perf.dumpErrs.Add(1)
+		s.log.Error("perf drift snapshot failed", "err", err)
+		return
+	}
+	s.perf.dumps.Add(1)
+	s.log.Warn("perf drift snapshot written", "path", path)
 }
 
 // timestackQuantiles summarizes the engine histograms for /debug/timestack:

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"smtflex/internal/core"
 	"smtflex/internal/obs"
@@ -91,29 +90,6 @@ func TestPerfsnapPprofProfiles(t *testing.T) {
 	}
 }
 
-func TestPerfRingEndpoint(t *testing.T) {
-	// Disabled by default: the route 404s with a pointer at the flag.
-	_, ts := newTestServer(t, Config{})
-	code, body := getJSON(t, ts.URL+"/debug/perfsnap/ring")
-	if code != http.StatusNotFound || !strings.Contains(string(body), "-prof-interval") {
-		t.Fatalf("disabled ring: code=%d body=%s", code, body)
-	}
-
-	// Enabled: the route serves counts even before the first tick.
-	_, ts2 := newTestServer(t, Config{ProfInterval: time.Hour})
-	code, body = getJSON(t, ts2.URL+"/debug/perfsnap/ring")
-	if code != http.StatusOK {
-		t.Fatalf("armed ring: code=%d body=%s", code, body)
-	}
-	var ring PerfRingResponse
-	if err := json.Unmarshal(body, &ring); err != nil {
-		t.Fatal(err)
-	}
-	if ring.IntervalSeconds != 3600 {
-		t.Errorf("interval %v, want 3600", ring.IntervalSeconds)
-	}
-}
-
 func TestTimestackIncludesHistogramQuantiles(t *testing.T) {
 	_, ts := newTestServer(t, Config{Sim: perfSharedSim()})
 	if code, _, _ := postJSON(t, ts.URL+"/v1/sweep", `{"design":"8m"}`); code != http.StatusOK {
@@ -158,25 +134,14 @@ func TestDriftLoopCapturesSnapshot(t *testing.T) {
 	})
 
 	dir := t.TempDir()
-	s, _ := newTestServer(t, Config{
-		PerfBaseline:  baseline,
-		PerfDumpDir:   dir,
-		DriftInterval: 5 * time.Millisecond,
-	})
+	s, _ := newTestServer(t, Config{PerfBaseline: baseline, PerfDumpDir: dir})
 	// Live state drifts: iterations land two decades above the baseline.
 	for i := 0; i < 32; i++ {
 		s.solverIters.Observe(200)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.StartPerfLoops(ctx)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for s.perf.dumps.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("drift watcher never captured a snapshot; drifts=%d", s.perf.drifts.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
+	s.checkDrift(context.Background())
+	if s.perf.dumps.Load() != 1 {
+		t.Fatalf("drift check captured %d snapshots, want 1; drifts=%d", s.perf.dumps.Load(), s.perf.drifts.Load())
 	}
 	if s.perf.drifts.Load() == 0 {
 		t.Error("drift counter not bumped")
@@ -214,17 +179,10 @@ func TestDriftLoopQuietWhenWithinTolerance(t *testing.T) {
 		},
 	})
 	dir := t.TempDir()
-	s, _ := newTestServer(t, Config{
-		PerfBaseline:  baseline,
-		PerfDumpDir:   dir,
-		DriftInterval: time.Millisecond,
-	})
+	s, _ := newTestServer(t, Config{PerfBaseline: baseline, PerfDumpDir: dir})
 	// Live state matches the baseline: no drift, no dumps.
 	s.solverIters.Observe(200)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.StartPerfLoops(ctx)
-	time.Sleep(50 * time.Millisecond)
+	s.checkDrift(context.Background())
 	if n := s.perf.drifts.Load(); n != 0 {
 		t.Errorf("drifts %d on matching state", n)
 	}
@@ -244,8 +202,6 @@ func TestMetricsIncludePerfSeries(t *testing.T) {
 		"smtflexd_perf_drift_total",
 		"smtflexd_perf_drift_snapshots_total",
 		"smtflexd_perf_drift_snapshot_errors_total",
-		"smtflexd_prof_captures_total",
-		"smtflexd_prof_skipped_total",
 	} {
 		if typed[want] != "counter" {
 			t.Errorf("metric %s typed %q, want counter", want, typed[want])
