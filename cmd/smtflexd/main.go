@@ -16,10 +16,10 @@
 //
 // The coordinator serves the same API; /v1/sweep fans out across the fleet
 // and returns tables bit-identical to a solo daemon. Workers additionally
-// serve POST /cluster/v1/cell; /debug/cluster dumps assignment state.
-// Dispatches propagate the coordinator's request ID and trace context, and
-// worker spans are stitched back into one trace per sweep — see
-// /debug/traces, /debug/fleet and /debug/flight below.
+// serve POST /cluster/v1/cell; /debug/cluster dumps the coordinator's
+// per-worker breaker state and dispatch counters. Dispatches propagate the
+// coordinator's request ID and trace context, and worker spans are stitched
+// back into one trace per sweep — see /debug/traces and /debug/fleet below.
 //
 // With -journal DIR the coordinator write-ahead-journals every completed
 // cell; a coordinator killed mid-sweep replays the journal on restart and
@@ -40,8 +40,7 @@
 //	GET  /debug/traces/{id}       one trace; ?format=chrome for Perfetto
 //	GET  /debug/timestack         per-route wall-time breakdown; ?format=text
 //	GET  /debug/fleet             coordinator: merged worker scrape; ?format=text
-//	GET  /debug/flight            coordinator: recent sweeps' cell lifecycles
-//	GET  /debug/flight/{sweep}    one flight record (>=8-char prefixes resolve)
+//	GET  /debug/cluster           fabric role; coordinator: workers and dispatch counters
 //	GET  /debug/perfsnap          versioned perf snapshot for perfdiff; ?pprof=1 attaches profiles
 //
 // With -perf-baseline FILE the daemon watches its engine histograms for drift
@@ -56,8 +55,9 @@
 //
 // SIGINT/SIGTERM begins a graceful drain: in-flight requests finish (up to
 // -drain) while new work is refused with 503 and the X-Smtflexd-Draining
-// header, so fabric coordinators reroute instead of hedging into a dying
-// worker; /healthz turns 503 "draining" so load balancers steer away.
+// header, so fabric coordinators reroute its cells to other workers at once,
+// with no breaker penalty; /healthz turns 503 "draining" so load balancers
+// steer away.
 package main
 
 import (
@@ -175,7 +175,7 @@ func main() {
 	machStats := flag.Bool("machstats", true, "collect simulated-hardware counters and CPI stacks, served at /debug/machstats")
 	role := flag.String("role", "solo", "fabric role: solo, coordinator (shard sweeps across -workers) or worker (serve cell dispatches)")
 	workerList := flag.String("workers", "", "comma-separated worker base URLs for -role=coordinator, e.g. http://host1:8080,http://host2:8080")
-	cellCap := flag.Int("cell-cache-cap", 65536, "max cached sweep cells in the fabric result store before LRU eviction (0 = unbounded)")
+	cellCap := flag.Int("cell-cache-cap", 65536, "max cached sweep cells in the coordinator's fleet result store before LRU eviction (0 = unbounded)")
 	journalDir := flag.String("journal", "", "coordinator only: write-ahead journal directory for completed sweep cells; a restarted coordinator replays it and re-dispatches only the remainder")
 	auditFrac := flag.Float64("audit-frac", 0, "coordinator only: fraction of cells in [0,1] double-dispatched to independent workers and digest-compared; divergence fails the sweep")
 	perfBaseline := flag.String("perf-baseline", "", "perf snapshot file to watch for drift: engine histogram quantiles shifting past tolerance bump smtflexd_perf_drift_total and auto-capture a snapshot next to the journal")
@@ -273,7 +273,7 @@ func main() {
 		cfg.Coordinator = coord
 		logger.Info("fabric coordinator", "workers", len(peers), "audit_frac", *auditFrac)
 	case "worker":
-		cfg.ClusterWorker = cluster.NewWorker(sim.Study(), *cellCap)
+		cfg.ClusterWorker = cluster.NewWorker(sim.Study())
 		logger.Info("fabric worker, serving " + cluster.CellPath)
 	}
 	srv, err := server.New(cfg)

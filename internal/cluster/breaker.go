@@ -136,7 +136,7 @@ func (b *breaker) trip(now time.Time) {
 }
 
 // release resolves a dispatch without a verdict on the worker's health
-// (shed, drain, terminal engine error, lost hedge race). It frees a held
+// (shed, drain, terminal engine error, cancelled sweep). It frees a held
 // half-open probe slot so the next dispatcher can re-probe.
 func (b *breaker) release() {
 	b.mu.Lock()

@@ -5,29 +5,38 @@
 //
 // The design in one paragraph: a sweep decomposes into independently
 // evaluable cells (study.SweepMixes), each with a canonical content address
-// (memo.KeyHash of study.CellKey). A consistent-hash ring maps every cell to
-// a preferred worker, so repeated sweeps route the same cell to the same
-// worker and hit its local result store. The coordinator dispatches cells
-// over HTTP/JSON, checks a fleet-level content-addressed store first
-// (identical sub-sweeps are computed once fleet-wide), steals work from slow
-// workers' queues when a dispatcher runs dry, hedges attempts that exceed a
-// latency threshold with a second dispatch to a different worker, retries on
-// worker loss, and — when every worker is gone — falls back to computing the
-// remaining cells locally, so a sweep always converges. The per-cell results
-// feed study.AssembleSweep, the same reassembly the local pool uses, which
-// is why distributed tables are bit-for-bit identical by construction.
+// (memo.KeyHash of study.CellKey). The coordinator first serves what its
+// fleet-level content-addressed store already holds (identical sub-sweeps
+// are computed once fleet-wide), then puts the remaining cells on one shared
+// FIFO. Each worker has a fixed number of dispatcher goroutines pulling from
+// it, so a fast worker takes more cells and a slow or dead one fewer, with
+// no assignment step. A dispatcher sends its cell over HTTP/JSON to its own
+// worker, retries on other live workers after a loss, and — when every
+// worker is gone — computes the cell locally, so a sweep always converges.
+// The per-cell results feed study.AssembleSweep, the same reassembly the
+// local pool uses, which is why distributed tables are bit-for-bit identical
+// by construction.
 //
-// Failure semantics: a transport error or timeout marks the worker down for
-// the remainder of the sweep (the next sweep re-probes it); its queued cells
-// are drained by the other dispatchers as steals. HTTP 503 from a worker's
-// admission valve is a shed, not a death — the coordinator honors the
-// jittered Retry-After and retries the same worker a bounded number of
-// times. 4xx/409 responses are terminal: the request itself is wrong (bad
-// design, fleet fingerprint mismatch) and no amount of retrying fixes it.
+// Failure semantics: every worker sits behind a circuit breaker. A transport
+// error, an attempt timeout or a quarantined response counts as one failure
+// and the cell retries on another live worker; three consecutive failures
+// trip the breaker open, and the worker gets no traffic until a 15 s
+// cooldown half-opens it for one probe dispatch, whose outcome closes or
+// re-opens it. Each sweep starts with a 2 s /healthz probe of every worker,
+// which opens the breaker of any worker that does not answer and closes the
+// breaker of any that does. HTTP 503 from a worker's admission valve is a
+// shed, not a failure: the coordinator honors the jittered Retry-After and
+// retries the same worker a bounded number of times. A 503 carrying
+// DrainingHeader reroutes at once. 4xx responses are terminal: the request
+// itself is wrong (bad design, fleet fingerprint mismatch) and no amount of
+// retrying fixes it.
 //
-// Observability: dispatch, steal, hedge and retry are obs spans under the
-// coordinator's "cluster.sweep" span, so time stacks attribute fleet
-// overhead; counters back the daemon's /metrics and /debug/cluster surfaces.
+// Observability: each cell is a "cluster.cell" span under the coordinator's
+// "cluster.sweep" span, with one "cluster.dispatch" child per attempt (its
+// worker, attempt number and error) and the worker's own spans grafted
+// beneath it; obs.FleetTimeStacks splits that trace into queue, wire,
+// remote compute and retry time. Counters back the daemon's /metrics and
+// /debug/cluster surfaces.
 package cluster
 
 import "errors"

@@ -81,7 +81,7 @@ func quietLogger() *slog.Logger {
 // envelope. An optional wrap intercepts requests for chaos injection.
 func newWorkerServer(t *testing.T, wrap func(next http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
-	wk := NewWorker(sharedSim().Study(), 0)
+	wk := NewWorker(sharedSim().Study())
 	col := obs.NewCollector(8)
 	mux := http.NewServeMux()
 	mux.HandleFunc(CellPath, func(rw http.ResponseWriter, r *http.Request) {
@@ -127,7 +127,7 @@ func newWorkerServer(t *testing.T, wrap func(next http.Handler) http.Handler) *h
 }
 
 func testOptions() Options {
-	return Options{Logger: quietLogger(), HedgeDelay: -1}
+	return Options{Logger: quietLogger()}
 }
 
 func newTestCoordinator(t *testing.T, urls []string, opts Options) *Coordinator {
@@ -172,6 +172,10 @@ func TestSweepEquivalenceAcrossFleetSizes(t *testing.T) {
 		}
 		if st.Fallbacks != 0 {
 			t.Errorf("fleet of %d: unexpected local fallbacks: %d", nWorkers, st.Fallbacks)
+		}
+		// A healthy fleet dispatches each missed cell exactly once.
+		if st.Dispatched != st.StoreMisses {
+			t.Errorf("fleet of %d: %d dispatches for %d missed cells, want equal", nWorkers, st.Dispatched, st.StoreMisses)
 		}
 	}
 }
@@ -292,7 +296,7 @@ func TestFleetStoreServesRepeatCells(t *testing.T) {
 // TestWorkerRejectsFingerprintMismatch pins the terminal-failure contract:
 // cells from a differently configured fleet must be refused, not computed.
 func TestWorkerRejectsFingerprintMismatch(t *testing.T) {
-	wk := NewWorker(sharedSim().Study(), 0)
+	wk := NewWorker(sharedSim().Study())
 	req := CellRequest{
 		Fingerprint: "uops=1|mixes=1|seed=1|model={}",
 		Design:      "4B", SMT: true, MixID: "m", Programs: []string{"mcf"},
@@ -328,9 +332,11 @@ func TestCoordinatorTreatsRejectionAsTerminal(t *testing.T) {
 	}
 }
 
-// TestHedgeFiresOnStraggler: the primary hangs, the hedge delay elapses, and
-// the backup worker completes the cell.
-func TestHedgeFiresOnStraggler(t *testing.T) {
+// TestHungWorkerCellRedispatched: a worker hangs on its first cell mid-sweep.
+// The attempt timeout expires, the cell counts as a failure against that
+// worker and is re-dispatched to the other one, and the table stays
+// byte-identical.
+func TestHungWorkerCellRedispatched(t *testing.T) {
 	want := localSweepJSON(t)
 	release := make(chan struct{})
 	var stalled sync.Once
@@ -352,15 +358,15 @@ func TestHedgeFiresOnStraggler(t *testing.T) {
 	})
 	defer close(release)
 	healthy := newWorkerServer(t, nil)
-	opts := testOptions()
-	opts.HedgeDelay = 50 * time.Millisecond
-	c := newTestCoordinator(t, []string{straggler.URL, healthy.URL}, opts)
+	defer func(d time.Duration) { attemptTimeout = d }(attemptTimeout)
+	attemptTimeout = 500 * time.Millisecond
+	c := newTestCoordinator(t, []string{straggler.URL, healthy.URL}, testOptions())
 	got := fleetSweepJSON(t, c)
 	if string(got) != string(want) {
-		t.Fatal("sweep with straggling worker differs from single-process table")
+		t.Fatal("sweep with a hung worker differs from single-process table")
 	}
-	if c.State().Hedges == 0 {
-		t.Error("expected at least one hedged dispatch")
+	if c.State().Retries == 0 {
+		t.Error("expected the hung worker's cell to be re-dispatched")
 	}
 }
 
@@ -372,31 +378,4 @@ func TestNewCoordinatorValidation(t *testing.T) {
 	if _, err := NewCoordinator(nil, []string{"http://x"}, Options{}); err == nil {
 		t.Error("nil study accepted")
 	}
-}
-
-// TestRingDeterministicAndBalanced: two independently built rings agree on
-// every owner (the cross-process routing contract), and load spreads.
-func TestRingDeterministicAndBalanced(t *testing.T) {
-	urls := []string{"http://a:1", "http://b:2", "http://c:3", "http://d:4"}
-	r1 := newRing(urls, 0)
-	r2 := newRing(urls, 0)
-	counts := make([]int, len(urls))
-	for i := 0; i < 4096; i++ {
-		key := KeyHashLike(i)
-		o1, o2 := r1.ownerOf(key), r2.ownerOf(key)
-		if o1 != o2 {
-			t.Fatalf("rings disagree on key %q: %d vs %d", key, o1, o2)
-		}
-		counts[o1]++
-	}
-	for i, n := range counts {
-		if n == 0 {
-			t.Errorf("worker %d owns no keys out of 4096", i)
-		}
-	}
-}
-
-// KeyHashLike derives a distinct deterministic key per index.
-func KeyHashLike(i int) string {
-	return strings.Repeat("k", i%7+1) + "-" + strings.Repeat("x", i%13+1)
 }

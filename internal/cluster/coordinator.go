@@ -25,23 +25,6 @@ import (
 
 // Options parameterizes a Coordinator. Zero values select defaults.
 type Options struct {
-	// Client performs worker HTTP requests (default: a plain http.Client;
-	// per-attempt timeouts come from contexts, not the client).
-	Client *http.Client
-	// PerWorkerInflight bounds concurrent dispatches per worker (default 4).
-	PerWorkerInflight int
-	// AttemptTimeout caps one dispatch attempt (default 60s).
-	AttemptTimeout time.Duration
-	// HedgeDelay is how long a dispatch may run before a second attempt is
-	// launched on a different worker (default 3s). Zero selects the default;
-	// negative disables hedging.
-	HedgeDelay time.Duration
-	// ShedBudget is how many 503 sheds from one worker an attempt absorbs
-	// (honoring Retry-After) before trying elsewhere (default 8).
-	ShedBudget int
-	// Replicas is the consistent-hash virtual-node count per worker
-	// (default 64).
-	Replicas int
 	// StoreCap bounds the fleet result store in cells, LRU-evicted
 	// (0 = unbounded). SweepCap does the same for assembled sweeps.
 	StoreCap int
@@ -57,15 +40,27 @@ type Options struct {
 	// a second, independent worker and the result digests compared. Any
 	// divergence fails the sweep with ErrAuditDivergence. Zero disables.
 	AuditFraction float64
-	// BreakerThreshold is the consecutive transport-failure count that trips
-	// a worker's circuit breaker open (default 3). BreakerCooldown is how
-	// long an open breaker blocks traffic before half-opening for a probe
-	// dispatch (default 15s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Logger receives dispatch warnings (default slog.Default()).
 	Logger *slog.Logger
 }
+
+// Dispatch tuning. Each worker gets perWorkerInflight dispatcher goroutines
+// per sweep; an attempt absorbs up to shedBudget 503 sheds from one worker
+// (honoring Retry-After) before the cell tries elsewhere; a worker's breaker
+// trips open after breakerThreshold consecutive transport failures and
+// half-opens for a probe dispatch after breakerCooldown.
+const (
+	perWorkerInflight = 4
+	shedBudget        = 8
+	breakerThreshold  = 3
+	breakerCooldown   = 15 * time.Second
+)
+
+// attemptTimeout caps one dispatch attempt. A worker that hangs mid-sweep
+// loses its in-flight cells to this timeout (each counts as a breaker
+// failure) and they retry elsewhere. A variable only so tests can shorten
+// it; a coordinator reads it once, at construction.
+var attemptTimeout = 60 * time.Second
 
 // dispatchBounds are the per-worker dispatch latency histogram buckets
 // (seconds): wire round trips live in the low milliseconds, full cell
@@ -76,9 +71,7 @@ var dispatchBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.2
 type workerState struct {
 	url      string
 	br       *breaker     // circuit breaker: the worker's health state machine
-	assigned atomic.Int64 // cells whose ring owner this worker is
 	done     atomic.Int64 // cells this worker completed
-	stolen   atomic.Int64 // cells this worker's dispatchers stole
 	inflight atomic.Int64 // dispatch attempts currently on the wire
 
 	// Wire observability: successful-dispatch latency distribution and
@@ -96,6 +89,10 @@ type workerState struct {
 // immediately from a half-open probe).
 func (w *workerState) fail(err error) {
 	w.br.failure(time.Now())
+	w.setLastErr(err)
+}
+
+func (w *workerState) setLastErr(err error) {
 	w.mu.Lock()
 	w.lastErr = err.Error()
 	w.mu.Unlock()
@@ -114,17 +111,17 @@ func (w *workerState) alive() bool {
 }
 
 // Coordinator is the fabric's control plane: it decomposes sweeps into
-// content-addressed cells, dispatches them across the worker fleet with
-// work-stealing and hedged retries, and reassembles bit-identical tables.
-// It is safe for concurrent use; identical concurrent sweeps coalesce onto
-// one fleet computation.
+// content-addressed cells, dispatches them from one shared queue across the
+// worker fleet, and reassembles bit-identical tables. It is safe for
+// concurrent use; identical concurrent sweeps coalesce onto one fleet
+// computation.
 type Coordinator struct {
-	st      *study.Study
-	opts    Options
-	log     *slog.Logger
-	client  *http.Client
-	workers []*workerState
-	ring    *ring
+	st             *study.Study
+	opts           Options
+	log            *slog.Logger
+	client         *http.Client
+	attemptTimeout time.Duration
+	workers        []*workerState
 
 	// store is the fleet-level content-addressed result store; hits skip
 	// dispatch entirely. Counters are tracked separately (storeHits/Misses)
@@ -132,13 +129,9 @@ type Coordinator struct {
 	store  memo.Cache[string, CellResponse]
 	sweeps memo.Cache[string, *study.Sweep]
 
-	storeHits, storeMisses                                atomic.Int64
-	dispatched, steals, retries, hedges, sheds, fallbacks atomic.Int64
-
-	// flight is the sweep flight recorder behind /debug/flight; with a
-	// journal configured it also dumps each finished sweep's record next to
-	// the journal. Nil-safe throughout.
-	flight *flightRecorder
+	storeHits, storeMisses                atomic.Int64
+	dispatched, retries, sheds, fallbacks atomic.Int64
+	activeSweeps                          atomic.Int64 // sweep computations still running
 
 	// Integrity and durability counters.
 	integrityFailures atomic.Int64 // quarantined corrupt/mismatched responses
@@ -160,27 +153,6 @@ func NewCoordinator(st *study.Study, workerURLs []string, opts Options) (*Coordi
 	if len(workerURLs) == 0 {
 		return nil, ErrNoWorkers
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{}
-	}
-	if opts.PerWorkerInflight <= 0 {
-		opts.PerWorkerInflight = 4
-	}
-	if opts.AttemptTimeout <= 0 {
-		opts.AttemptTimeout = 60 * time.Second
-	}
-	if opts.HedgeDelay == 0 {
-		opts.HedgeDelay = 3 * time.Second
-	}
-	if opts.ShedBudget <= 0 {
-		opts.ShedBudget = 8
-	}
-	if opts.BreakerThreshold <= 0 {
-		opts.BreakerThreshold = 3
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 15 * time.Second
-	}
 	if opts.AuditFraction < 0 || opts.AuditFraction > 1 {
 		return nil, fmt.Errorf("cluster: audit fraction %g outside [0,1]", opts.AuditFraction)
 	}
@@ -188,28 +160,22 @@ func NewCoordinator(st *study.Study, workerURLs []string, opts Options) (*Coordi
 		opts.Logger = slog.Default()
 	}
 	c := &Coordinator{
-		st:     st,
-		opts:   opts,
-		log:    opts.Logger,
-		client: opts.Client,
-		ring:   newRing(workerURLs, opts.Replicas),
+		st:   st,
+		opts: opts,
+		log:  opts.Logger,
+		// Per-attempt timeouts come from contexts, not the client.
+		client:         &http.Client{},
+		attemptTimeout: attemptTimeout,
 	}
 	for _, u := range workerURLs {
 		// The breaker starts closed: optimistic until a probe or dispatch
 		// says otherwise.
 		c.workers = append(c.workers, &workerState{
 			url:  u,
-			br:   newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+			br:   newBreaker(breakerThreshold, breakerCooldown),
 			hist: obs.NewHistogram(dispatchBounds),
 		})
 	}
-	flightDir := ""
-	if opts.Journal != nil {
-		flightDir = opts.Journal.Dir()
-	}
-	c.flight = newFlightRecorder(flightDir, func(msg string, err error) {
-		c.log.Warn(msg, "err", err)
-	})
 	c.store.Name = "fleet"
 	if opts.StoreCap > 0 {
 		c.store.Bound(opts.StoreCap)
@@ -319,122 +285,24 @@ func (c *Coordinator) SweepDesign(ctx context.Context, d config.Design, k study.
 type cell struct {
 	n, mi int
 	key   string
-	sweep string // content address of the owning sweep (flight recorder key)
 	d     config.Design
 	mix   workload.Mix
 	req   CellRequest
-	// attempts numbers this cell's dispatch attempts (including hedges and
-	// audits) for span attribution: attempt > 1 is retry/hedge traffic.
-	attempts atomic.Int64
-}
-
-// sched is the per-sweep work-stealing scheduler: one queue per worker,
-// populated by ring ownership. Dispatchers pop their own queue first and
-// steal from the tail of other workers' queues when theirs runs dry, so a
-// straggling or dead worker's cells drain through the rest of the fleet.
-type sched struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queues      [][]*cell
-	pending     int
-	outstanding int
-	done        int // completed cells, including store prefills
-	err         error
-	stopped     bool
-}
-
-func newSched(nWorkers, prefilled int) *sched {
-	s := &sched{queues: make([][]*cell, nWorkers), done: prefilled}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// push enqueues a cell on its owner's queue.
-func (s *sched) push(owner int, cl *cell) {
-	s.mu.Lock()
-	s.queues[owner] = append(s.queues[owner], cl)
-	s.pending++
-	s.mu.Unlock()
-}
-
-// next blocks until a cell is available, preferring self's queue and
-// stealing from others' tails otherwise. It returns nil when the sweep is
-// finished, failed or stopped.
-func (s *sched) next(self int) (cl *cell, stolen bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.err != nil || s.stopped {
-			return nil, false
-		}
-		if q := s.queues[self]; len(q) > 0 {
-			cl, s.queues[self] = q[0], q[1:]
-			s.pending--
-			s.outstanding++
-			return cl, false
-		}
-		for off := 1; off < len(s.queues); off++ {
-			j := (self + off) % len(s.queues)
-			if q := s.queues[j]; len(q) > 0 {
-				cl, s.queues[j] = q[len(q)-1], q[:len(q)-1]
-				s.pending--
-				s.outstanding++
-				return cl, true
-			}
-		}
-		if s.pending == 0 && s.outstanding == 0 {
-			return nil, false
-		}
-		s.cond.Wait()
-	}
-}
-
-// complete marks one cell finished and returns the completed count.
-func (s *sched) complete() int {
-	s.mu.Lock()
-	s.outstanding--
-	s.done++
-	done := s.done
-	if s.pending == 0 && s.outstanding == 0 {
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-	return done
-}
-
-// fail records the sweep's terminal error and wakes every dispatcher.
-func (s *sched) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.outstanding--
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// stop wakes every dispatcher so they observe cancellation.
-func (s *sched) stop() {
-	s.mu.Lock()
-	s.stopped = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-func (s *sched) failure() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+	// attempts numbers this cell's dispatch attempts (including audits) for
+	// span attribution: attempt > 1 is retry traffic. One goroutine drives a
+	// cell, so it needs no synchronization.
+	attempts int
 }
 
 // computeSweep decomposes, dispatches and reassembles one sweep.
-func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study.Kind, prog study.ProgressFunc) (_ *study.Sweep, err error) {
+func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study.Kind, prog study.ProgressFunc) (*study.Sweep, error) {
+	c.activeSweeps.Add(1)
+	defer c.activeSweeps.Add(-1)
 	ctx, sp := obs.StartSpan(ctx, "cluster.sweep")
 	sp.SetAttr("design", d.Name)
 	sp.SetAttr("kind", k.String())
 	defer sp.End()
 
-	sweepID := memo.KeyHash(c.st.SweepKey(d, k))
 	c.Probe(ctx)
 	mixes, nMixes, err := c.st.SweepMixes(k)
 	if err != nil {
@@ -460,7 +328,7 @@ func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study
 			}
 			c.storeMisses.Add(1)
 			cells = append(cells, &cell{
-				n: n, mi: mi, key: key, sweep: sweepID, d: d, mix: mix,
+				n: n, mi: mi, key: key, d: d, mix: mix,
 				req: CellRequest{
 					Key:           key,
 					Fingerprint:   fingerprint,
@@ -475,78 +343,66 @@ func (c *Coordinator) computeSweep(ctx context.Context, d config.Design, k study
 			})
 		}
 	}
-	prefilled := total - len(cells)
+	done := total - len(cells)
 	sp.SetAttr("cells", total)
-	sp.SetAttr("store_hits", prefilled)
-	sp.SetAttr("sweep_id", sweepID)
-	c.flight.begin(sweepID, d.Name, k.String(), total, prefilled)
-	defer func() { c.flight.end(sweepID, err) }()
-	for _, cl := range cells {
-		c.flight.register(sweepID, cl.key, cl.n, cl.mix.ID)
-	}
-	if prog != nil && prefilled > 0 {
-		prog(prefilled, total)
+	sp.SetAttr("store_hits", done)
+	if prog != nil && done > 0 {
+		prog(done, total)
 	}
 	if len(cells) == 0 {
 		return study.AssembleSweep(d, k, mixes, results)
 	}
 
-	sc := newSched(len(c.workers), prefilled)
-	for _, cl := range cells {
-		owner := c.ring.ownerOf(cl.key)
-		c.workers[owner].assigned.Add(1)
-		sc.push(owner, cl)
-	}
-
-	// Wake dispatchers blocked in next() if the caller goes away.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			sc.stop()
-		case <-watchDone:
-		}
-	}()
-	defer close(watchDone)
-
-	var mu sync.Mutex // guards results writes (distinct slots, but keep the race detector honest)
-	var wg sync.WaitGroup
+	// cells is the sweep's one shared FIFO: every worker's dispatchers pull
+	// the next index, so a fast worker takes more cells and a slow or dead
+	// one fewer, with no assignment step. mu orders completions, so the
+	// progress hook sees strictly increasing counts, and keeps the first
+	// failure, which stops every dispatcher.
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		firstErr error
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+	)
 	for wi := range c.workers {
-		for slot := 0; slot < c.opts.PerWorkerInflight; slot++ {
+		for slot := 0; slot < perWorkerInflight; slot++ {
 			wg.Add(1)
 			go func(wi int) {
 				defer wg.Done()
-				for {
-					cl, stolen := sc.next(wi)
-					if cl == nil {
+				for !failed.Load() && ctx.Err() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= len(cells) {
 						return
 					}
-					if stolen {
-						c.steals.Add(1)
-						c.workers[wi].stolen.Add(1)
-						c.flight.event(cl.key, FlightStolen, c.workers[wi].url, "")
-					}
-					resp, err := c.processCell(ctx, cl, wi, stolen)
+					cl := cells[i]
+					resp, err := c.processCell(ctx, cl, wi)
 					if err != nil {
-						sc.fail(err)
+						mu.Lock()
+						if firstErr == nil {
+							firstErr = err
+						}
+						mu.Unlock()
+						failed.Store(true)
 						return
 					}
 					c.store.Put(cl.key, resp)
 					c.journalCell(cl.key, resp)
+					r := fromWire(resp)
 					mu.Lock()
-					results[cl.n-1][cl.mi] = fromWire(resp)
-					mu.Unlock()
-					done := sc.complete()
+					results[cl.n-1][cl.mi] = r
+					done++
 					if prog != nil {
 						prog(done, total)
 					}
+					mu.Unlock()
 				}
 			}(wi)
 		}
 	}
 	wg.Wait()
-	if err := sc.failure(); err != nil {
-		return nil, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -635,18 +491,14 @@ func neutralDispatchError(err error) bool {
 	return errors.As(err, &se) || errors.As(err, &de) || errors.As(err, &be) || errors.As(err, &te)
 }
 
-// processCell drives one cell to completion: preferred worker first, hedged
-// against stragglers, retried on other live workers after a loss, and
-// computed locally when the whole fleet is gone — a sweep never stalls on a
-// dead fleet.
-func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int, stolen bool) (CellResponse, error) {
+// processCell drives one cell to completion: the dispatcher's own worker
+// first, retried on other live workers after a loss, and computed locally
+// when the whole fleet is gone — a sweep never stalls on a dead fleet.
+func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int) (CellResponse, error) {
 	ctx, sp := obs.StartSpan(ctx, "cluster.cell")
 	sp.SetAttr("key", cl.key)
 	sp.SetAttr("n", cl.n)
 	sp.SetAttr("mix", cl.mix.ID)
-	if stolen {
-		sp.SetAttr("stolen", true)
-	}
 	defer sp.End()
 
 	tried := make(map[int]bool)
@@ -663,7 +515,6 @@ func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int, stole
 			// sweep still converges (counted, spanned, and identical by
 			// construction — it is the same EvaluateMixCtx the workers run).
 			c.fallbacks.Add(1)
-			c.flight.event(cl.key, FlightFallback, "", "")
 			_, fsp := obs.StartSpan(ctx, "cluster.fallback")
 			fsp.SetAttr("key", cl.key)
 			r, err := c.st.EvaluateMixCtx(ctx, cl.d, cl.mix)
@@ -671,29 +522,30 @@ func (c *Coordinator) processCell(ctx context.Context, cl *cell, self int, stole
 			if err != nil {
 				return CellResponse{}, fmt.Errorf("cluster: local fallback for %s: %w", cl.mix.ID, err)
 			}
-			c.flight.complete(cl.sweep, cl.key, "")
 			return toWire(cl.key, r), nil
 		}
 		tried[target] = true
-		resp, winner, err := c.dispatchHedged(ctx, cl, target)
+		resp, err := c.attempt(ctx, cl, target)
 		if err == nil {
-			c.workers[winner].done.Add(1)
-			sp.SetAttr("worker", c.workers[winner].url)
-			if aerr := c.audit(ctx, cl, resp, winner); aerr != nil {
+			c.workers[target].done.Add(1)
+			sp.SetAttr("worker", c.workers[target].url)
+			if aerr := c.audit(ctx, cl, resp, target); aerr != nil {
 				return CellResponse{}, aerr
 			}
-			c.flight.complete(cl.sweep, cl.key, c.workers[winner].url)
 			return resp, nil
 		}
 		var te *terminalError
-		if errors.As(err, &te) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if errors.As(err, &te) {
 			return CellResponse{}, err
 		}
-		// Transport loss, quarantine, shed budget or drain: try the next
-		// live worker. A quarantined response must re-dispatch to a
-		// *different* worker, which tried already guarantees.
+		if cerr := ctx.Err(); cerr != nil {
+			return CellResponse{}, cerr
+		}
+		// Transport loss or attempt timeout, quarantine, shed budget or
+		// drain: try the next live worker. A quarantined response must
+		// re-dispatch to a *different* worker, which tried already
+		// guarantees.
 		c.retries.Add(1)
-		c.flight.event(cl.key, FlightRetried, c.workers[target].url, err.Error())
 		c.log.Warn("cell re-dispatch", "key", cl.key, "worker", c.workers[target].url, "err", err)
 		target = c.pickLive(tried)
 	}
@@ -752,7 +604,7 @@ func (c *Coordinator) audit(ctx context.Context, cl *cell, resp CellResponse, wi
 }
 
 // pickLive returns a live worker index not in tried, or -1. It prefers the
-// least-loaded (fewest inflight dispatches) so hedges and retries spread;
+// least-loaded (fewest inflight dispatches) so retries and audits spread;
 // liveness is the breaker's verdict, so an open breaker hides a worker until
 // its cooldown half-opens it.
 func (c *Coordinator) pickLive(tried map[int]bool) int {
@@ -770,83 +622,12 @@ func (c *Coordinator) pickLive(tried map[int]bool) int {
 	return best
 }
 
-// dispatchHedged runs one dispatch attempt against primary, launching a
-// second attempt on a different live worker if the first exceeds the hedge
-// delay; the first success wins (its worker index is returned) and the
-// loser's request is cancelled. Breaker verdicts are recorded inside
-// attempt, by the goroutine that owns each dispatch — a lost hedge's
-// verdict still lands even though its channel send is never read.
-func (c *Coordinator) dispatchHedged(ctx context.Context, cl *cell, primary int) (CellResponse, int, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type out struct {
-		resp   CellResponse
-		err    error
-		worker int
-	}
-	ch := make(chan out, 2)
-	launch := func(wi int) {
-		go func() {
-			resp, err := c.attempt(hctx, cl, wi)
-			ch <- out{resp, err, wi}
-		}()
-	}
-	launch(primary)
-	inflight := 1
-	hedged := false
-
-	var hedgeC <-chan time.Time
-	if c.opts.HedgeDelay > 0 {
-		timer := time.NewTimer(c.opts.HedgeDelay)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-	var lastErr error
-	for {
-		select {
-		case o := <-ch:
-			inflight--
-			if o.err == nil {
-				return o.resp, o.worker, nil
-			}
-			lastErr = o.err
-			var te *terminalError
-			if errors.As(o.err, &te) {
-				return CellResponse{}, -1, o.err
-			}
-			if inflight > 0 {
-				continue // a hedge is still running; it may yet win
-			}
-			return CellResponse{}, -1, lastErr
-		case <-hedgeC:
-			hedgeC = nil
-			if hedged {
-				continue
-			}
-			if backup := c.pickLive(map[int]bool{primary: true}); backup >= 0 {
-				hedged = true
-				c.hedges.Add(1)
-				c.flight.event(cl.key, FlightHedged, c.workers[backup].url, "")
-				_, hsp := obs.StartSpan(hctx, "cluster.hedge")
-				hsp.SetAttr("key", cl.key)
-				hsp.SetAttr("worker", c.workers[backup].url)
-				hsp.End()
-				launch(backup)
-				inflight++
-			}
-		case <-hctx.Done():
-			return CellResponse{}, -1, hctx.Err()
-		}
-	}
-}
-
 // attempt performs one HTTP dispatch of a cell to one worker, absorbing up
 // to the shed budget of 503s (honoring jittered Retry-After). It owns the
 // worker's breaker interaction end to end: acquire before the dispatch,
-// verdict after — success closes, transport loss and quarantine count as
-// failures, and neutral outcomes (shed, drain, terminal, cancelled hedge)
-// release any held probe slot without a verdict.
+// verdict after — success closes, transport loss, attempt timeout and
+// quarantine count as failures, and neutral outcomes (shed, drain, terminal,
+// cancelled sweep) release any held probe slot without a verdict.
 func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellResponse, err error) {
 	ws := c.workers[wi]
 	// The dispatch span stays in ctx: post propagates it as the traceparent,
@@ -854,7 +635,8 @@ func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellR
 	ctx, sp := obs.StartSpan(ctx, "cluster.dispatch")
 	sp.SetAttr("worker", ws.url)
 	sp.SetAttr("key", cl.key)
-	sp.SetAttr("attempt", cl.attempts.Add(1))
+	cl.attempts++
+	sp.SetAttr("attempt", cl.attempts)
 	defer sp.End()
 	if !ws.br.tryAcquire(time.Now()) {
 		return CellResponse{}, &breakerDeniedError{ws.url}
@@ -865,8 +647,8 @@ func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellR
 			ws.br.success()
 		case neutralDispatchError(err), ctx.Err() != nil:
 			// Sheds, drains and terminal rejections say nothing about
-			// transport health; a cancelled context (lost hedge race, sweep
-			// cancel) makes any error unattributable. Free the probe slot.
+			// transport health; a cancelled sweep makes any error
+			// unattributable. Free the probe slot.
 			ws.br.release()
 		default:
 			ws.fail(err)
@@ -881,13 +663,12 @@ func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellR
 		return CellResponse{}, &terminalError{0, err.Error()}
 	}
 	c.dispatched.Add(1)
-	c.flight.event(cl.key, FlightDispatched, ws.url, "")
 	ws.inflight.Add(1)
 	defer ws.inflight.Add(-1)
 
 	for shed := 0; ; shed++ {
 		t0 := time.Now()
-		actx, cancel := context.WithTimeout(ctx, c.opts.AttemptTimeout)
+		actx, cancel := context.WithTimeout(ctx, c.attemptTimeout)
 		ws.txBytes.Add(int64(len(body)))
 		hresp, err := c.post(actx, ws.url+CellPath, body)
 		if err != nil {
@@ -914,19 +695,16 @@ func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellR
 			if err := json.Unmarshal(b, &cr); err != nil {
 				c.integrityFailures.Add(1)
 				ierr := &integrityError{ws.url, fmt.Sprintf("undecodable response: %v", err)}
-				c.flight.event(cl.key, FlightQuarantined, ws.url, "undecodable response")
 				sp.SetAttr("error", ierr.Error())
 				return CellResponse{}, ierr
 			}
 			if err := cr.verifyIntegrity(cl.key); err != nil {
 				c.integrityFailures.Add(1)
 				ierr := &integrityError{ws.url, err.Error()}
-				c.flight.event(cl.key, FlightQuarantined, ws.url, err.Error())
 				sp.SetAttr("error", ierr.Error())
 				return CellResponse{}, ierr
 			}
 			ws.hist.Observe(rtt.Seconds())
-			c.flight.attemptDone(cl.key, ws.url, rtt, cr.ComputeNs)
 			if cr.Trace != nil {
 				// Stitch the worker's subtree under this dispatch span, then
 				// strip it: the spans now live in the coordinator's trace, and
@@ -943,7 +721,7 @@ func (c *Coordinator) attempt(ctx context.Context, cl *cell, wi int) (resp CellR
 				return CellResponse{}, &drainError{ws.url}
 			}
 			c.sheds.Add(1)
-			if shed+1 >= c.opts.ShedBudget {
+			if shed+1 >= shedBudget {
 				sp.SetAttr("error", "shed budget exhausted")
 				return CellResponse{}, &shedError{ws.url}
 			}
@@ -1013,21 +791,15 @@ type WorkerStatus struct {
 	Alive bool `json:"alive"`
 	// Breaker is the breaker's position — "closed", "open" or "half-open" —
 	// BreakerTrips its lifetime open transitions, and BreakerSince when it
-	// entered its current position (so a flight record can be read against
-	// breaker history: "open since 12:03:07" explains a burst of retries).
+	// entered its current position ("open since 12:03:07" explains a burst
+	// of retries).
 	Breaker      string    `json:"breaker"`
 	BreakerTrips int64     `json:"breaker_trips"`
 	BreakerSince time.Time `json:"breaker_since"`
 	LastErr      string    `json:"last_err,omitempty"`
-	// RingShare is the fraction of the hash space this worker owns — the
-	// expected share of cells assigned to it.
-	RingShare float64 `json:"ring_share"`
-	// Assigned counts cells whose ring owner this worker was; Done counts
-	// cells it actually completed; Stolen counts cells its dispatchers took
-	// from other workers' queues. Inflight is current on-the-wire dispatches.
-	Assigned int64 `json:"assigned"`
+	// Done counts cells this worker completed; Inflight is current
+	// on-the-wire dispatches.
 	Done     int64 `json:"done"`
-	Stolen   int64 `json:"stolen"`
 	Inflight int64 `json:"inflight"`
 	// TxBytes/RxBytes are dispatch request/response wire totals to/from this
 	// worker.
@@ -1035,19 +807,21 @@ type WorkerStatus struct {
 	RxBytes int64 `json:"rx_bytes"`
 }
 
-// State is the coordinator's assignment and counter dump for /debug/cluster.
+// State is the coordinator's worker and counter dump for /debug/cluster.
 type State struct {
 	Role    string         `json:"role"`
 	Workers []WorkerStatus `json:"workers"`
+	// ActiveSweeps counts sweep computations still running, including ones
+	// whose callers gave up: their dispatched cells still complete and are
+	// journaled.
+	ActiveSweeps int64 `json:"active_sweeps"`
 	// Fleet store counters: a hit is a cell served without any dispatch.
 	StoreHits    int64 `json:"store_hits"`
 	StoreMisses  int64 `json:"store_misses"`
 	StoreEntries int   `json:"store_entries"`
 	// Dispatch machinery counters.
 	Dispatched int64 `json:"dispatched"`
-	Steals     int64 `json:"steals"`
 	Retries    int64 `json:"retries"`
-	Hedges     int64 `json:"hedges"`
 	Sheds      int64 `json:"sheds"`
 	// Fallbacks counts cells computed locally because no live worker
 	// remained.
@@ -1070,13 +844,12 @@ type State struct {
 func (c *Coordinator) State() State {
 	st := State{
 		Role:         "coordinator",
+		ActiveSweeps: c.activeSweeps.Load(),
 		StoreHits:    c.storeHits.Load(),
 		StoreMisses:  c.storeMisses.Load(),
 		StoreEntries: c.store.Len(),
 		Dispatched:   c.dispatched.Load(),
-		Steals:       c.steals.Load(),
 		Retries:      c.retries.Load(),
-		Hedges:       c.hedges.Load(),
 		Sheds:        c.sheds.Load(),
 		Fallbacks:    c.fallbacks.Load(),
 
@@ -1091,50 +864,12 @@ func (c *Coordinator) State() State {
 	if c.opts.Journal != nil {
 		st.Journaled = c.opts.Journal.Len()
 	}
-	shares := c.ringShares()
-	for i, ws := range c.workers {
-		brState, brTrips, brSince := ws.br.snapshot()
-		st.Workers = append(st.Workers, WorkerStatus{
-			URL:          ws.url,
-			Alive:        ws.alive(),
-			Breaker:      brState.String(),
-			BreakerTrips: brTrips,
-			BreakerSince: brSince,
-			LastErr:      ws.lastError(),
-			RingShare:    shares[i],
-			Assigned:     ws.assigned.Load(),
-			Done:         ws.done.Load(),
-			Stolen:       ws.stolen.Load(),
-			Inflight:     ws.inflight.Load(),
-			TxBytes:      ws.txBytes.Load(),
-			RxBytes:      ws.rxBytes.Load(),
-		})
-	}
+	st.Workers = c.Workers()
 	return st
 }
 
-// ringShares computes each worker's owned fraction of the hash space.
-func (c *Coordinator) ringShares() []float64 {
-	shares := make([]float64, len(c.workers))
-	n := len(c.ring.hashes)
-	if n == 0 {
-		return shares
-	}
-	const span = float64(1<<63) * 2 // 2^64 as float
-	for i, h := range c.ring.hashes {
-		var arc uint64
-		if i == 0 {
-			arc = c.ring.hashes[0] + (^c.ring.hashes[n-1] + 1) // wraparound arc
-		} else {
-			arc = h - c.ring.hashes[i-1]
-		}
-		shares[c.ring.owner[h]] += float64(arc) / span
-	}
-	return shares
-}
-
-// Workers lists the fleet's worker URLs with current liveness and breaker
-// state, for /healthz.
+// Workers lists the fleet's worker URLs with current liveness, breaker
+// state and dispatch counters, for /healthz and /debug/cluster.
 func (c *Coordinator) Workers() []WorkerStatus {
 	out := make([]WorkerStatus, len(c.workers))
 	for i, ws := range c.workers {
@@ -1142,7 +877,11 @@ func (c *Coordinator) Workers() []WorkerStatus {
 		out[i] = WorkerStatus{
 			URL: ws.url, Alive: ws.alive(),
 			Breaker: brState.String(), BreakerTrips: brTrips, BreakerSince: brSince,
-			LastErr: ws.lastError(),
+			LastErr:  ws.lastError(),
+			Done:     ws.done.Load(),
+			Inflight: ws.inflight.Load(),
+			TxBytes:  ws.txBytes.Load(),
+			RxBytes:  ws.rxBytes.Load(),
 		}
 	}
 	return out
@@ -1171,14 +910,6 @@ func (c *Coordinator) DispatchStats() []DispatchStat {
 	}
 	return out
 }
-
-// FlightList returns the flight recorder's sweep summaries, active sweeps
-// first, then completed ones newest-first.
-func (c *Coordinator) FlightList() []FlightMeta { return c.flight.list() }
-
-// FlightRecordFor returns one sweep's flight record by content address (or
-// unique ≥8-char prefix).
-func (c *Coordinator) FlightRecordFor(sweep string) (*FlightRecord, bool) { return c.flight.get(sweep) }
 
 // CacheCounters exposes the fleet store and sweep cache counters for
 // /metrics. The store's hits/misses are the coordinator's own counters

@@ -34,11 +34,7 @@ func awaitSweepsSettled(t *testing.T, c *Coordinator) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		active := false
-		for _, m := range c.FlightList() {
-			active = active || m.Active
-		}
-		if !active {
+		if c.State().ActiveSweeps == 0 {
 			return
 		}
 		if time.Now().After(deadline) {

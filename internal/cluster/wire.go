@@ -23,7 +23,7 @@ import (
 // list, so the worker needs no knowledge of the coordinator's mix seed.
 type CellRequest struct {
 	// Key is the cell's content address (memo.KeyHash of study.CellKey),
-	// under which the worker caches its result.
+	// which the worker echoes in its response.
 	Key string `json:"key"`
 	// Fingerprint is the coordinator engine's study.Fingerprint; the worker
 	// rejects the cell if its own differs (ErrFingerprintMismatch).

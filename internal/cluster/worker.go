@@ -5,38 +5,26 @@ import (
 	"fmt"
 
 	"smtflex/internal/config"
-	"smtflex/internal/memo"
 	"smtflex/internal/study"
 	"smtflex/internal/workload"
 )
 
 // Worker is the worker-side half of the fabric: it evaluates cells through
-// the local engine, caching results by content address so a re-dispatched or
-// hedged duplicate — or the same cell in a later sweep — is served without
-// recomputation. The HTTP plumbing (admission, tracing, metrics) lives in
-// internal/server, which mounts Evaluate under CellPath in worker role; this
-// type is transport-free so tests can drive it directly.
+// the local engine. It keeps no result store of its own — the coordinator's
+// fleet store answers every repeat before a cell is dispatched. The HTTP
+// plumbing (admission, tracing, metrics) lives in internal/server, which
+// mounts Evaluate under CellPath in worker role; this type is transport-free
+// so tests can drive it directly.
 type Worker struct {
 	st *study.Study
-	// cells is the worker-local content-addressed result store. Its hit/miss
-	// counters surface on the worker's /metrics as cache="cells".
-	cells memo.Cache[string, CellResponse]
 }
 
-// NewWorker wraps a study engine as a fabric worker. maxCells bounds the
-// content store with LRU eviction (0 = unbounded).
-func NewWorker(st *study.Study, maxCells int) *Worker {
-	w := &Worker{st: st}
-	w.cells.Name = "cells"
-	if maxCells > 0 {
-		w.cells.Bound(maxCells)
-	}
-	return w
+// NewWorker wraps a study engine as a fabric worker.
+func NewWorker(st *study.Study) *Worker {
+	return &Worker{st: st}
 }
 
-// Evaluate computes one cell, serving repeats from the content store.
-// Identical concurrent requests (a coordinator hedge racing a retry)
-// coalesce onto one computation via the store's singleflight semantics.
+// Evaluate computes one cell.
 func (w *Worker) Evaluate(ctx context.Context, req CellRequest) (CellResponse, error) {
 	if req.Fingerprint != "" && req.Fingerprint != w.st.Fingerprint() {
 		return CellResponse{}, fmt.Errorf("%w: coordinator %q vs worker %q",
@@ -55,22 +43,9 @@ func (w *Worker) Evaluate(ctx context.Context, req CellRequest) (CellResponse, e
 	if req.BandwidthGBps > 0 {
 		d = d.WithBandwidth(req.BandwidthGBps)
 	}
-	mix := workload.Mix{ID: req.MixID, Programs: req.Programs}
-	compute := func(ctx context.Context) (CellResponse, error) {
-		r, err := w.st.EvaluateMixCtx(ctx, d, mix)
-		if err != nil {
-			return CellResponse{}, err
-		}
-		return toWire(req.Key, r), nil
+	r, err := w.st.EvaluateMixCtx(ctx, d, workload.Mix{ID: req.MixID, Programs: req.Programs})
+	if err != nil {
+		return CellResponse{}, err
 	}
-	if req.Key == "" {
-		// No content address — evaluate without caching.
-		return compute(ctx)
-	}
-	return w.cells.GetCtx(ctx, req.Key, compute)
-}
-
-// CacheCounters exposes the content store's counters for /metrics.
-func (w *Worker) CacheCounters() []memo.Counters {
-	return []memo.Counters{w.cells.Counters()}
+	return toWire(req.Key, r), nil
 }

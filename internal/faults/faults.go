@@ -42,8 +42,8 @@ const (
 	// SiteHandler fires at the start of every engine-backed HTTP handler.
 	SiteHandler Site = "handler"
 	// SiteDispatch fires before every cell dispatch the cluster coordinator
-	// makes to a worker; error mode simulates a lost worker, latency mode a
-	// slow network path (exercising hedged re-dispatch).
+	// makes to a worker; error mode simulates a lost worker (the cell
+	// retries on another one), latency mode a slow network path.
 	SiteDispatch Site = "dispatch"
 	// SiteWire fires on the coordinator's receive path, corrupting cell
 	// response bytes as a faulty network or lying worker would: bitflip,

@@ -221,9 +221,7 @@ func TestFleetCategoryOf(t *testing.T) {
 		{SpanJSON{Name: "queue.wait", Attrs: lane}, FleetCatQueue},
 		{SpanJSON{Name: "cluster.dispatch"}, FleetCatWire},
 		{SpanJSON{Name: "cluster.dispatch", Attrs: map[string]any{"attempt": 2}}, FleetCatRetry},
-		{SpanJSON{Name: "cluster.hedge"}, FleetCatHedge},
 		{SpanJSON{Name: "cluster.cell"}, FleetCatWire},
-		{SpanJSON{Name: "cluster.cell", Attrs: map[string]any{"stolen": true}}, FleetCatSteal},
 		{SpanJSON{Name: "cluster.fallback"}, FleetCatRemote},
 		{SpanJSON{Name: "cluster.sweep"}, FleetCatReassembly},
 		{SpanJSON{Name: "queue.wait"}, FleetCatQueue},

@@ -51,8 +51,6 @@ const (
 	FleetCatQueue      = "queue"          // admission waits, local and remote, plus pool queue_ns credits
 	FleetCatWire       = "dispatch-wire"  // dispatch RTT minus the worker-reported subtree, plus dispatcher overhead
 	FleetCatRemote     = "remote-compute" // grafted worker spans, and local engine work on the fallback path
-	FleetCatSteal      = "steal"          // bookkeeping on cells completed off their ring owner
-	FleetCatHedge      = "hedge"          // duplicate dispatches racing a slow worker
 	FleetCatRetry      = "retry"          // re-dispatches after a failed or quarantined attempt
 	FleetCatReassembly = "reassembly"     // sweep decompose/assemble, store bookkeeping, response serialization
 	FleetCatOther      = "other"
@@ -60,8 +58,8 @@ const (
 
 // FleetCategories lists the fleet time-stack components in presentation order.
 var FleetCategories = []string{
-	FleetCatQueue, FleetCatWire, FleetCatRemote, FleetCatSteal,
-	FleetCatHedge, FleetCatRetry, FleetCatReassembly, FleetCatOther,
+	FleetCatQueue, FleetCatWire, FleetCatRemote, FleetCatRetry,
+	FleetCatReassembly, FleetCatOther,
 }
 
 // FleetCategoryOf maps a span to its fleet time-stack component. Spans
@@ -83,12 +81,7 @@ func FleetCategoryOf(s SpanJSON) string {
 			return FleetCatRetry
 		}
 		return FleetCatWire
-	case strings.HasPrefix(s.Name, "cluster.hedge"):
-		return FleetCatHedge
 	case strings.HasPrefix(s.Name, "cluster.cell"):
-		if stolen, ok := s.Attrs["stolen"].(bool); ok && stolen {
-			return FleetCatSteal
-		}
 		return FleetCatWire
 	case strings.HasPrefix(s.Name, "cluster.fallback"):
 		return FleetCatRemote

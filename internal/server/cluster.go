@@ -9,7 +9,6 @@ import (
 
 	"smtflex/internal/cluster"
 	"smtflex/internal/config"
-	"smtflex/internal/memo"
 	"smtflex/internal/study"
 )
 
@@ -41,7 +40,7 @@ func (s *Server) sweepDesign(ctx context.Context, d config.Design, k study.Kind)
 }
 
 // handleCell serves POST /cluster/v1/cell (worker role only): one sweep
-// cell, evaluated through the worker's content-addressed store. It rides the
+// cell, evaluated on the worker's engine. It rides the
 // shared endpoint() spine, so dispatches are admission-controlled, traced
 // and metered like any client request — a saturated worker sheds
 // coordinator dispatches with the same 503 + Retry-After it sheds clients
@@ -56,10 +55,8 @@ func (s *Server) handleCell(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The observability envelope is per-request, attached to this response
-	// copy at the HTTP layer — never to the cached value, so a content-store
-	// hit reports its own (near-zero) compute time and the live trace, not a
-	// stale one from the evaluation that populated the cache.
+	// The observability envelope is attached at the HTTP layer, where the
+	// request's trace lives.
 	cluster.AttachTrace(ctx, &resp, time.Since(t0).Nanoseconds())
 	return resp, nil
 }
@@ -67,23 +64,18 @@ func (s *Server) handleCell(ctx context.Context, r *http.Request) (any, error) {
 // debugClusterResponse is the /debug/cluster body for non-coordinator roles
 // (a coordinator dumps its full cluster.State).
 type debugClusterResponse struct {
-	Role   string          `json:"role"`
-	Caches []memo.Counters `json:"caches,omitempty"`
+	Role string `json:"role"`
 }
 
-// handleDebugCluster dumps the fabric state: the coordinator's assignment
-// and counter snapshot, the worker's content-store counters, or just the
-// role for a solo daemon.
+// handleDebugCluster dumps the fabric state: the coordinator's worker and
+// counter snapshot, or just the role for a worker or solo daemon.
 func (s *Server) handleDebugCluster(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case s.coord != nil:
-		s.coord.Probe(r.Context())
-		writeJSON(w, http.StatusOK, s.coord.State())
-	case s.worker != nil:
-		writeJSON(w, http.StatusOK, debugClusterResponse{Role: "worker", Caches: s.worker.CacheCounters()})
-	default:
-		writeJSON(w, http.StatusOK, debugClusterResponse{Role: "solo"})
+	if s.coord == nil {
+		writeJSON(w, http.StatusOK, debugClusterResponse{Role: s.role()})
+		return
 	}
+	s.coord.Probe(r.Context())
+	writeJSON(w, http.StatusOK, s.coord.State())
 }
 
 // Retry-After jitter bounds: a shed client is told to come back after 1..3

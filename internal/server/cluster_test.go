@@ -38,10 +38,10 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 
 // TestWorkerRoleServesCells drives the worker-role daemon end to end: the
 // cell route evaluates through the shared endpoint spine, healthz reports
-// the role, /debug/cluster dumps the content-store counters, and a
-// mismatched fleet fingerprint is refused with 409.
+// the role, /metrics counts the served cells, and a mismatched fleet
+// fingerprint is refused with 409.
 func TestWorkerRoleServesCells(t *testing.T) {
-	wk := cluster.NewWorker(sharedSim().Study(), 0)
+	wk := cluster.NewWorker(sharedSim().Study())
 	_, ts := newTestServer(t, Config{ClusterWorker: wk})
 
 	st := sharedSim().Study()
@@ -82,12 +82,12 @@ func TestWorkerRoleServesCells(t *testing.T) {
 		t.Errorf("healthz: code=%d body=%s, want role=worker", code, body)
 	}
 	code, body = getJSON(t, ts.URL+"/debug/cluster")
-	if code != http.StatusOK || !strings.Contains(string(body), `"cells"`) {
-		t.Errorf("/debug/cluster: code=%d body=%s, want cells cache counters", code, body)
+	if code != http.StatusOK || !strings.Contains(string(body), `"role":"worker"`) {
+		t.Errorf("/debug/cluster: code=%d body=%s, want role=worker", code, body)
 	}
 	code, body = getJSON(t, ts.URL+"/metrics")
-	if code != http.StatusOK || !strings.Contains(string(body), `smtflexd_cache_entries{cache="cells"}`) {
-		t.Errorf("/metrics missing cells cache series (code=%d)", code)
+	if code != http.StatusOK || !strings.Contains(string(body), `smtflexd_requests_total{route="/cluster/v1/cell",code="200"} 1`) {
+		t.Errorf("/metrics does not count the one served cell (code=%d)", code)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestWorkerRoleServesCells(t *testing.T) {
 // the response is byte-identical to a solo daemon's — plus the coordinator
 // surfaces: healthz worker liveness, /debug/cluster, fleet metrics.
 func TestCoordinatorRoleFansOut(t *testing.T) {
-	_, workerTS := newTestServer(t, Config{ClusterWorker: cluster.NewWorker(sharedSim().Study(), 0)})
+	_, workerTS := newTestServer(t, Config{ClusterWorker: cluster.NewWorker(sharedSim().Study())})
 	coord, err := cluster.NewCoordinator(sharedSim().Study(), []string{workerTS.URL}, cluster.Options{Logger: quietLogger()})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
@@ -132,7 +132,7 @@ func TestCoordinatorRoleFansOut(t *testing.T) {
 
 // TestConfigRejectsDualRole pins the one-role-per-daemon contract.
 func TestConfigRejectsDualRole(t *testing.T) {
-	wk := cluster.NewWorker(sharedSim().Study(), 0)
+	wk := cluster.NewWorker(sharedSim().Study())
 	coord, err := cluster.NewCoordinator(sharedSim().Study(), []string{"http://x:1"}, cluster.Options{Logger: quietLogger()})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)

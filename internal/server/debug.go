@@ -97,8 +97,6 @@ var debugRoutes = []struct {
 	{"GET /debug/machstats", (*Server).handleMachStats},
 	{"GET /debug/cluster", (*Server).handleDebugCluster},
 	{"GET /debug/fleet", (*Server).handleFleet},
-	{"GET /debug/flight", (*Server).handleFlight},
-	{"GET /debug/flight/{sweep}", (*Server).handleFlight},
 	{"GET /debug/perfsnap", (*Server).handlePerfsnap},
 }
 

@@ -15,7 +15,7 @@ import (
 // reroutes instead of burning its shed budget), /healthz turns 503
 // "draining", and the drain surfaces on /metrics.
 func TestDrainRefusesNewWork(t *testing.T) {
-	wk := cluster.NewWorker(sharedSim().Study(), 0)
+	wk := cluster.NewWorker(sharedSim().Study())
 	s, ts := newTestServer(t, Config{ClusterWorker: wk})
 
 	// Before draining: a cell evaluates normally.
@@ -71,7 +71,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 // present on a coordinator daemon's /metrics from the start (zero-valued
 // counters still scrape), and healthz carries breaker state per worker.
 func TestCoordinatorMetricsIntegritySeries(t *testing.T) {
-	_, workerTS := newTestServer(t, Config{ClusterWorker: cluster.NewWorker(sharedSim().Study(), 0)})
+	_, workerTS := newTestServer(t, Config{ClusterWorker: cluster.NewWorker(sharedSim().Study())})
 	coord, err := cluster.NewCoordinator(sharedSim().Study(), []string{workerTS.URL}, cluster.Options{Logger: quietLogger()})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)

@@ -8,28 +8,22 @@ import (
 	"smtflex/internal/obs"
 )
 
-// The coordinator-only fleet observability surfaces: GET /debug/fleet merges
+// The coordinator-only fleet observability surface: GET /debug/fleet merges
 // every live worker's /metrics, /debug/timestack and /debug/machstats into
-// one snapshot, and GET /debug/flight exposes the sweep flight recorder —
-// the per-cell lifecycle log of recent distributed sweeps.
+// one snapshot. A sweep's per-cell lifecycle lives in its stitched trace
+// (/debug/traces/{id}).
 
 // FleetResponse is the /debug/fleet body: the merged worker scrape plus the
 // coordinator's own fleet-category time stacks (where distributed sweep wall
-// time went: queue, dispatch wire, remote compute, steals, hedges, retries,
-// reassembly).
+// time went: queue, dispatch wire, remote compute, retries, reassembly).
 type FleetResponse struct {
 	cluster.FleetSnapshot
 	CoordinatorStacks []obs.TimeStack `json:"coordinator_stacks,omitempty"`
 }
 
-// FlightListResponse lists the flight recorder's sweeps, active first.
-type FlightListResponse struct {
-	Sweeps []cluster.FlightMeta `json:"sweeps"`
-}
-
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if s.coord == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "fleet aggregation is a coordinator surface (start with -cluster-workers)"})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "fleet aggregation is a coordinator surface (start with -role=coordinator -workers)"})
 		return
 	}
 	snap := s.coord.FleetSnapshot(r.Context())
@@ -50,21 +44,4 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("unknown format %q (want json or text)", format)})
 	}
-}
-
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if s.coord == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "the flight recorder is a coordinator surface (start with -cluster-workers)"})
-		return
-	}
-	if sweep := r.PathValue("sweep"); sweep != "" {
-		rec, ok := s.coord.FlightRecordFor(sweep)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("no flight record for sweep %q (the recorder keeps the most recent sweeps only; prefixes of at least 8 characters resolve)", sweep)})
-			return
-		}
-		writeJSON(w, http.StatusOK, rec)
-		return
-	}
-	writeJSON(w, http.StatusOK, FlightListResponse{Sweeps: s.coord.FlightList()})
 }

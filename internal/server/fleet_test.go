@@ -15,7 +15,7 @@ import (
 // of it (and any extra worker URLs), returning the coordinator's test server.
 func newTestFleet(t *testing.T, extraWorkers ...string) *httptest.Server {
 	t.Helper()
-	_, workerTS := newTestServer(t, Config{ClusterWorker: cluster.NewWorker(sharedSim().Study(), 0)})
+	_, workerTS := newTestServer(t, Config{ClusterWorker: cluster.NewWorker(sharedSim().Study())})
 	urls := append([]string{workerTS.URL}, extraWorkers...)
 	coord, err := cluster.NewCoordinator(sharedSim().Study(), urls, cluster.Options{Logger: quietLogger()})
 	if err != nil {
@@ -42,8 +42,7 @@ func TestClusterMetricsPromtextLint(t *testing.T) {
 	typed, values := lintPromText(t, body)
 
 	for _, name := range []string{
-		"smtflexd_cluster_dispatched_total", "smtflexd_cluster_steals_total",
-		"smtflexd_cluster_retries_total", "smtflexd_cluster_hedges_total",
+		"smtflexd_cluster_dispatched_total", "smtflexd_cluster_retries_total",
 		"smtflexd_cluster_sheds_total", "smtflexd_cluster_fallbacks_total",
 		"smtflexd_cluster_integrity_failures_total", "smtflexd_cluster_audits_total",
 		"smtflexd_cluster_audit_divergence_total", "smtflexd_cluster_drains_total",
@@ -152,50 +151,58 @@ func TestFleetEndpointAggregatesAndDegrades(t *testing.T) {
 	}
 
 	_, soloTS := newTestServer(t, Config{})
-	if code, body := getJSON(t, soloTS.URL+"/debug/fleet"); code != http.StatusNotFound {
-		t.Errorf("solo /debug/fleet: code=%d body=%s, want 404", code, body)
+	if code, body := getJSON(t, soloTS.URL+"/debug/fleet"); code != http.StatusNotFound ||
+		!strings.Contains(string(body), "-role=coordinator -workers") {
+		t.Errorf("solo /debug/fleet: code=%d body=%s, want 404 naming -role=coordinator -workers", code, body)
 	}
 }
 
-// TestFlightEndpointRoundTrip pins the flight-recorder surface: after a fleet
-// sweep the coordinator lists the sweep, serves its full record by ID, and
-// 404s unknown sweeps and non-coordinator roles.
-func TestFlightEndpointRoundTrip(t *testing.T) {
+// TestDebugClusterAfterFleetSweep pins the coordinator's /debug/cluster
+// after a healthy fleet sweep: no sweep is still active, each missed cell was
+// dispatched exactly once, and the stitched trace holds the sweep's
+// cluster.cell spans.
+func TestDebugClusterAfterFleetSweep(t *testing.T) {
 	coordTS := newTestFleet(t)
 	if code, body, _ := postJSON(t, coordTS.URL+"/v1/sweep", `{"design":"4B","kind":"heterogeneous"}`); code != http.StatusOK {
 		t.Fatalf("fleet sweep: code=%d body=%s", code, body)
 	}
 
-	code, body := getJSON(t, coordTS.URL+"/debug/flight")
+	code, body := getJSON(t, coordTS.URL+"/debug/cluster")
 	if code != http.StatusOK {
-		t.Fatalf("/debug/flight: code=%d body=%s", code, body)
+		t.Fatalf("/debug/cluster: code=%d body=%s", code, body)
 	}
-	var fl FlightListResponse
-	if err := json.Unmarshal(body, &fl); err != nil {
-		t.Fatalf("decode flight list: %v", err)
+	var st cluster.State
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("decode cluster state: %v", err)
 	}
-	if len(fl.Sweeps) != 1 || fl.Sweeps[0].Active {
-		t.Fatalf("flight list: %+v, want one completed sweep", fl.Sweeps)
+	if st.ActiveSweeps != 0 {
+		t.Errorf("active_sweeps = %d after the sweep returned, want 0", st.ActiveSweeps)
+	}
+	if st.StoreMisses == 0 || st.Dispatched != st.StoreMisses {
+		t.Errorf("dispatched %d for %d missed cells, want equal and nonzero", st.Dispatched, st.StoreMisses)
 	}
 
-	code, body = getJSON(t, coordTS.URL+"/debug/flight/"+fl.Sweeps[0].Sweep)
+	code, body = getJSON(t, coordTS.URL+"/debug/traces")
 	if code != http.StatusOK {
-		t.Fatalf("/debug/flight/{sweep}: code=%d body=%s", code, body)
+		t.Fatalf("/debug/traces: code=%d body=%s", code, body)
 	}
-	var rec cluster.FlightRecord
-	if err := json.Unmarshal(body, &rec); err != nil {
-		t.Fatalf("decode flight record: %v", err)
+	var list TracesResponse
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatalf("decode trace list: %v", err)
 	}
-	if rec.Sweep != fl.Sweeps[0].Sweep || len(rec.Cells) == 0 {
-		t.Fatalf("flight record sweep=%s cells=%d", rec.Sweep, len(rec.Cells))
+	cells := 0
+	for _, tr := range list.Traces {
+		if tr.Name != "/v1/sweep" {
+			continue
+		}
+		code, body = getJSON(t, coordTS.URL+"/debug/traces/"+tr.ID)
+		if code != http.StatusOK {
+			t.Fatalf("/debug/traces/%s: code=%d", tr.ID, code)
+		}
+		cells += strings.Count(string(body), `"name":"cluster.cell"`)
 	}
-
-	if code, body := getJSON(t, coordTS.URL+"/debug/flight/deadbeef0000"); code != http.StatusNotFound {
-		t.Errorf("unknown sweep: code=%d body=%s, want 404", code, body)
-	}
-	_, soloTS := newTestServer(t, Config{})
-	if code, body := getJSON(t, soloTS.URL+"/debug/flight"); code != http.StatusNotFound {
-		t.Errorf("solo /debug/flight: code=%d body=%s, want 404", code, body)
+	if cells == 0 {
+		t.Error("the sweep's stitched trace holds no cluster.cell spans")
 	}
 }
 

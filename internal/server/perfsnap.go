@@ -69,9 +69,6 @@ func (s *Server) PerfSnapshot(ctx context.Context) *perfdiff.Snapshot {
 	if s.coord != nil {
 		counters = append(counters, s.coord.CacheCounters()...)
 	}
-	if s.worker != nil {
-		counters = append(counters, s.worker.CacheCounters()...)
-	}
 	opts.Caches = counters
 	if s.coord != nil {
 		fleet := s.coord.FleetSnapshot(ctx)

@@ -541,12 +541,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// so write emits each HELP/TYPE header exactly once.
 	counters := s.study().CacheCounters()
 	// Fabric caches ride the same per-cache series: the coordinator's fleet
-	// store and sweep cache, or the worker's cell content store.
+	// store and sweep cache.
 	if s.coord != nil {
 		counters = append(counters, s.coord.CacheCounters()...)
-	}
-	if s.worker != nil {
-		counters = append(counters, s.worker.CacheCounters()...)
 	}
 	for _, mc := range []struct {
 		name, help string
@@ -572,9 +569,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		st := s.coord.State()
 		samples = append(samples,
 			sample{"smtflexd_cluster_dispatched_total", "Cell dispatch attempts sent to workers.", "counter", "", float64(st.Dispatched)},
-			sample{"smtflexd_cluster_steals_total", "Cells a dispatcher stole from another worker's queue.", "counter", "", float64(st.Steals)},
 			sample{"smtflexd_cluster_retries_total", "Cells re-dispatched after a worker loss or shed budget.", "counter", "", float64(st.Retries)},
-			sample{"smtflexd_cluster_hedges_total", "Backup dispatches launched against straggling workers.", "counter", "", float64(st.Hedges)},
 			sample{"smtflexd_cluster_sheds_total", "503 sheds absorbed from worker admission valves.", "counter", "", float64(st.Sheds)},
 			sample{"smtflexd_cluster_fallbacks_total", "Cells computed locally because no live worker remained.", "counter", "", float64(st.Fallbacks)},
 			sample{"smtflexd_cluster_integrity_failures_total", "Worker responses quarantined for failing integrity verification (bad key, undecodable, digest mismatch).", "counter", "", float64(st.IntegrityFailures)},

@@ -57,8 +57,9 @@ func (s *Study) workers() int {
 // one worker it degenerates to the plain serial loop. queue, when non-nil,
 // receives each task's queue wait in seconds. A progress hook carried by ctx
 // (see WithProgress) is called after every completed task with the number of
-// tasks finished so far; completion order is nondeterministic under
-// parallelism, but the final call is always (n, n) on a successful run.
+// tasks finished so far. Calls are serialized and their counts strictly
+// increase, so the final call is always (n, n) on a successful run; with no
+// hook, completion takes no lock.
 func runIndexed(ctx context.Context, workers, n int, queue *obs.Histogram, fn func(ctx context.Context, i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -86,7 +87,8 @@ func runIndexed(ctx context.Context, workers, n int, queue *obs.Histogram, fn fu
 
 	var (
 		next     atomic.Int64
-		done     atomic.Int64
+		progMu   sync.Mutex // orders progress calls; guards done
+		done     int
 		mu       sync.Mutex
 		firstIdx = n
 		firstErr error
@@ -120,7 +122,10 @@ func runIndexed(ctx context.Context, workers, n int, queue *obs.Histogram, fn fu
 					return
 				}
 				if prog != nil {
-					prog(int(done.Add(1)), n)
+					progMu.Lock()
+					done++
+					prog(done, n)
+					progMu.Unlock()
 				}
 			}
 		}()

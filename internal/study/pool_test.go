@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -85,5 +86,38 @@ func TestWorkerPanicInjectionParallel(t *testing.T) {
 	}
 	if err := runIndexed(context.Background(), 4, 16, nil, func(_ context.Context, i int) error { return nil }); err != nil {
 		t.Fatalf("run after disarm: %v", err)
+	}
+}
+
+// TestRunIndexedProgressMonotone: with many tiny tasks racing on 8 workers,
+// the progress hook must see strictly increasing completion counts, ending
+// at (n, n). A count that goes backwards reads as "2 after 3" on a live
+// progress stream.
+func TestRunIndexedProgressMonotone(t *testing.T) {
+	const n = 4000
+	var (
+		mu        sync.Mutex
+		prev      int
+		backwards int
+	)
+	ctx := WithProgress(context.Background(), func(done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if total != n {
+			t.Errorf("progress total %d, want %d", total, n)
+		}
+		if done <= prev {
+			backwards++
+		}
+		prev = done
+	})
+	if err := runIndexed(ctx, 8, n, nil, func(context.Context, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if backwards > 0 {
+		t.Errorf("progress went backwards %d times", backwards)
+	}
+	if prev != n {
+		t.Errorf("final progress %d, want %d", prev, n)
 	}
 }

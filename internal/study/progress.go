@@ -3,10 +3,11 @@ package study
 import "context"
 
 // ProgressFunc receives live engine progress: done of total pool tasks have
-// finished. The pool invokes it from worker goroutines, so implementations
-// must be safe for concurrent use; they must also be fast — the hook runs on
-// the evaluation path and a slow hook stalls the pool. The hook observes
-// progress only; it cannot influence results.
+// finished. The pool invokes it from worker goroutines, one call at a time
+// and with strictly increasing done, holding the lock that orders the calls;
+// so it must be fast, must not block and must not call back into the engine
+// — a slow hook stalls the pool. The hook observes progress only; it cannot
+// influence results.
 type ProgressFunc func(done, total int)
 
 // progressKeyType keys the progress hook in a context.
